@@ -8,9 +8,12 @@
 //
 // 2. Lockstep round-trip: drive compressor -> decompressor with frames cut
 //    from the same input and assert the decompressor reproduces every frame
-//    exactly. This is the ring-desync resistance property: one corrupted
-//    step would poison every later frame, so exact equality across the
-//    whole sequence is the strongest invariant available.
+//    exactly. A seeded on/off schedule toggles compression between runs of
+//    frames; off-frames travel unrecorded (wire::kFlagUnrecorded) and skip
+//    both rings, as the data plane sends them. This is the ring-desync
+//    resistance property: one corrupted step would poison every later
+//    frame, so exact equality across the whole sequence is the strongest
+//    invariant available.
 //
 // Input layout: [8B seed][1B prime count][encoded bytes / frame material].
 
@@ -47,15 +50,22 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
     FUZZ_ASSERT(inflated->size() <= 64 * 1024);
   }
 
-  // Phase 2: compressor/decompressor lockstep round-trip.
+  // Phase 2: compressor/decompressor lockstep round-trip across toggles.
   TemplateCompressor compressor;
   TemplateDecompressor decompressor;
   std::size_t offset = 0;
+  bool enabled = true;
+  std::size_t run_left = 1 + rng.below(8);
   while (offset < body.size()) {
+    if (run_left-- == 0) {
+      enabled = !enabled;
+      run_left = rng.below(TemplateCompressor::kRingSize + 4);
+    }
     std::size_t take = 1 + rng.below(256);
     if (take > body.size() - offset) take = body.size() - offset;
     BytesView frame = body.subspan(offset, take);
     offset += take;
+    if (!enabled) continue;  // unrecorded: delivered raw, no ring moves
     auto compressed = compressor.compress(frame);
     if (compressed.has_value()) {
       auto back = decompressor.decompress(*compressed);

@@ -1,14 +1,17 @@
 // Fuzz harness for the tunnel framing round-trip: every message
 // encode_message_into produces must decode back to exactly the fields that
-// went in — type, router/port ids, epoch, compressed flag, payload bytes —
-// whether it arrives alone or concatenated behind another frame.
+// went in — type, router/port ids, epoch, compressed and unrecorded flags,
+// payload bytes — whether it arrives alone or concatenated behind another
+// frame.
 //
 // Input layout:
 //   [1B type selector][4B router][4B port][1B epoch][1B flags][payload...]
 // The selector maps onto the seven valid MessageTypes; the payload is the
 // rest of the input verbatim. Flags bit0 selects compression, bit1 marks
 // the frame traced (the trace id is derived from the ids so the round-trip
-// covers the 8-byte payload prefix added by wire::kFlagTraced).
+// covers the 8-byte payload prefix added by wire::kFlagTraced), bit2 marks
+// it unrecorded. Unrecorded is only legal on a raw kData frame; any other
+// combination must be rejected as a framing error.
 
 #include <algorithm>
 #include <cstdint>
@@ -35,16 +38,22 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
   const std::uint8_t flags = r.u8();
   const bool compressed = (flags & 1) != 0;
   const bool traced = (flags & 2) != 0;
+  const bool unrecorded = (flags & 4) != 0;
   const std::uint64_t trace_id =
       traced ? (std::uint64_t{router_id} << 32 | port_id) | 1 : 0;
   const BytesView payload = r.rest();
 
   ByteWriter w;
   rnl::wire::encode_message_into(w, type, router_id, port_id, payload,
-                                 compressed, epoch, trace_id);
+                                 compressed, epoch, trace_id, unrecorded);
 
   MessageDecoder decoder;
   const auto& views = decoder.feed_views(w.view());
+  if (unrecorded && (compressed || type != MessageType::kData)) {
+    FUZZ_ASSERT(decoder.failed());
+    FUZZ_ASSERT(views.empty());
+    return 0;
+  }
   FUZZ_ASSERT(!decoder.failed());
   FUZZ_ASSERT(views.size() == 1);
   FUZZ_ASSERT(views[0].type == type);
@@ -52,6 +61,7 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
   FUZZ_ASSERT(views[0].port_id == port_id);
   FUZZ_ASSERT(views[0].epoch == epoch);
   FUZZ_ASSERT(views[0].compressed == compressed);
+  FUZZ_ASSERT(views[0].unrecorded == unrecorded);
   FUZZ_ASSERT(views[0].trace_id == trace_id);
   FUZZ_ASSERT(views[0].payload.size() == payload.size());
   FUZZ_ASSERT(std::equal(views[0].payload.begin(), views[0].payload.end(),
@@ -62,14 +72,16 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
   // depend on a frame being alone in the stream.
   ByteWriter pair;
   rnl::wire::encode_message_into(pair, type, router_id, port_id, payload,
-                                 compressed, epoch, trace_id);
+                                 compressed, epoch, trace_id, unrecorded);
   rnl::wire::encode_message_into(pair, MessageType::kKeepalive, 0, 0, {},
                                  false, epoch);
   MessageDecoder decoder2;
   const auto& both = decoder2.feed_views(pair.view());
   FUZZ_ASSERT(!decoder2.failed());
   FUZZ_ASSERT(both.size() == 2);
+  FUZZ_ASSERT(both[0].unrecorded == unrecorded);
   FUZZ_ASSERT(both[1].type == MessageType::kKeepalive);
+  FUZZ_ASSERT(!both[1].unrecorded);
 
   // A coalesced batch: the frame repeated with interleaved epochs, then a
   // trailing copy torn at an input-derived byte — what a batching sender
@@ -81,11 +93,12 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
   for (std::size_t i = 0; i < batch_frames; ++i) {
     rnl::wire::encode_message_into(stream, type, router_id, port_id, payload,
                                    compressed,
-                                   static_cast<std::uint8_t>(epoch + i));
+                                   static_cast<std::uint8_t>(epoch + i),
+                                   /*trace_id=*/0, unrecorded);
   }
   ByteWriter tail;
   rnl::wire::encode_message_into(tail, type, router_id, port_id, payload,
-                                 compressed, epoch);
+                                 compressed, epoch, /*trace_id=*/0, unrecorded);
   const std::size_t cut = port_id % tail.view().size();
   stream.raw(BytesView(tail.view().data(), cut));
 
@@ -95,6 +108,7 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
   FUZZ_ASSERT(batch.size() == batch_frames);
   for (std::size_t i = 0; i < batch_frames; ++i) {
     FUZZ_ASSERT(batch[i].epoch == static_cast<std::uint8_t>(epoch + i));
+    FUZZ_ASSERT(batch[i].unrecorded == unrecorded);
     FUZZ_ASSERT(batch[i].payload.size() == payload.size());
     FUZZ_ASSERT(std::equal(batch[i].payload.begin(), batch[i].payload.end(),
                            payload.begin()));
@@ -105,6 +119,7 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
   FUZZ_ASSERT(!batch_decoder.failed());
   FUZZ_ASSERT(rest.size() == 1);
   FUZZ_ASSERT(rest[0].epoch == epoch);
+  FUZZ_ASSERT(rest[0].unrecorded == unrecorded);
   FUZZ_ASSERT(batch_decoder.buffered() == 0);
   return 0;
 }

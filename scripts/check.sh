@@ -45,7 +45,10 @@
 #              speedup at 2 shards, zero wire-ring drops). Catches a bench
 #              regression where frames stop traversing decode -> port
 #              lookup -> egress and the numbers go vacuous, or where shards
-#              re-serialize on a shared lock.
+#              re-serialize on a shared lock. Then runs the benchmark's own
+#              self-test (perfbench/selftest.py: BENCHMARK.json schema, the
+#              contract file, and every workload at tiny size with tracing
+#              off and on, each passing its correctness checks).
 #   --model    deterministic model-check gate: re-run the modelcheck ctests
 #              (bounded-exhaustive schedule exploration of the SPSC wire
 #              ring, seqlock SpanRing, posted-command teardown, and metrics
@@ -210,6 +213,8 @@ for row in sharded:
 print(f"bench smoke OK: {len(rows)} rows + {len(sharded)} sharded rows, "
       f"fast path live and shard scaling intact")
 EOF
+  echo "=== bench: benchmark self-test (perfbench/selftest.py) ==="
+  python3 perfbench/selftest.py
 fi
 
 if [[ "$trace" == 1 ]]; then

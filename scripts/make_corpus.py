@@ -73,6 +73,14 @@ write("message_decoder", "batch_epochs_truncated.bin",
       + frame(3, 7, 9, b"\xca\xfe" * 32, flags=0x0300)
       + frame(3, 7, 9, b"\xca\xfe" * 32, flags=0x0000)
       + frame(3, 7, 9, b"\xca\xfe" * 32, flags=0x0100)[:-17])
+# Unrecorded raw data frame, then the two rejected uses of the flag: on a
+# compressed frame and on a non-data frame. The first decodes; the second
+# poisons the stream at the same offset however the stream is chunked.
+write("message_decoder", "unrecorded_then_rejects.bin",
+      SEED
+      + frame(3, 7, 9, b"\x5a" * 48, flags=0x0204)
+      + frame(3, 7, 9, b"\x01\x01\x04\x00\x04abcd", flags=0x0205)
+      + frame(5, flags=0x0004))
 write("message_decoder", "truncated_header.bin", SEED + frame(5)[:10])
 write("message_decoder", "truncated_payload.bin",
       SEED + frame(3, 1, 2, b"0123456789abcdef")[:-7])
@@ -103,6 +111,16 @@ write("tunnel_roundtrip", "traced_data.bin",
 write("tunnel_roundtrip", "traced_compressed_epoch.bin",
       b"\x02" + struct.pack(">II", 0xCAFE, 0xBEEF) + b"\xfe\x03"
       + b"traced+compressed" * 4)
+# Unrecorded raw data frame (flags bit2): what a sender with compression
+# off emits; the flag must round-trip so neither ring records the frame.
+write("tunnel_roundtrip", "unrecorded_data.bin",
+      b"\x02" + struct.pack(">II", 0x0BAD, 0xF00D) + b"\x09\x06"
+      + b"unrecorded-frame-payload" * 3)
+# compressed|unrecorded is contradictory (a compressed frame is always
+# recorded): the harness asserts the decoder rejects it as a framing error.
+write("tunnel_roundtrip", "compressed_unrecorded_reject.bin",
+      b"\x02" + struct.pack(">II", 5, 6) + b"\x01\x05"
+      + b"\x01\x01\x04\x00\x04abcd")
 
 # -- decompressor: hostile encodings against a primed ring --
 def decomp(body, prime=4, seed=SEED):

@@ -426,9 +426,9 @@ void RouterInterface::send_data(wire::RouterId router_id, wire::PortId port_id,
   const std::size_t cap_before = w.capacity();
   bool sent_compressed = false;
   if (compression_enabled_) {
-    // The compressor ring advances on *every* data frame (compressed or
-    // not) so encoder and decoder histories stay aligned even when
-    // compression is toggled.
+    // The compressor records every frame it sees, compressed or not; the
+    // raw ones go out without kFlagUnrecorded so the server records them
+    // too.
     auto compressed = compressor_.compress(frame);
     if (compressed.has_value()) {
       ++stats_.payload_allocs;
@@ -437,15 +437,14 @@ void RouterInterface::send_data(wire::RouterId router_id, wire::PortId port_id,
                                 static_cast<std::uint8_t>(epoch_), trace_id);
       sent_compressed = true;
     }
-  } else {
-    // Compression off: record the frame without the reference search so the
-    // rings stay in lockstep if compression is toggled mid-stream.
-    compressor_.note_outgoing(frame);
   }
   if (!sent_compressed) {
+    // Raw. With compression off the frame is flagged unrecorded: neither
+    // ring copies it, so a later re-enable still finds them in lockstep.
     wire::encode_message_into(w, wire::MessageType::kData, router_id, port_id,
                               frame, /*compressed=*/false,
-                              static_cast<std::uint8_t>(epoch_), trace_id);
+                              static_cast<std::uint8_t>(epoch_), trace_id,
+                              /*unrecorded=*/!compression_enabled_);
   }
   bool grew = w.capacity() != cap_before;
   if (grew) ++stats_.payload_allocs;
@@ -556,7 +555,7 @@ void RouterInterface::handle_message(
         frame = inflated_frame;
         ++stats_.payload_allocs;
       } else {
-        decompressor_.note_raw(msg.payload);
+        if (!msg.unrecorded) decompressor_.note_raw(msg.payload);
         frame = msg.payload;  // zero-copy: view into the decoder buffer
       }
       auto slot = id_to_slot_.find({msg.router_id, msg.port_id});

@@ -772,7 +772,7 @@ void RouteServer::handle_data(Site* site,
     slow = true;
     ++stats_.dataplane.payload_allocs;  // decompressor output buffer
   } else {
-    site->decompressor.note_raw(msg.payload);
+    if (!msg.unrecorded) site->decompressor.note_raw(msg.payload);
     frame = msg.payload;  // zero-copy: view into the decoder buffer
   }
 
@@ -919,17 +919,15 @@ void RouteServer::deliver_to_port(wire::PortId port, util::BytesView frame,
                                 trace_id);
       sent_compressed = true;
     }
-  } else {
-    // Compression off: skip the reference search entirely but keep the ring
-    // advancing so the peer's decompressor stays in lockstep if compression
-    // is toggled back on mid-stream.
-    site->compressor.note_outgoing(frame);
   }
   if (!sent_compressed) {
+    // Raw. With compression off there is no reference search and no ring
+    // copy: the frame is flagged unrecorded, so the site's decompressor
+    // skips it as well.
     wire::encode_message_into(w, wire::MessageType::kData, record->router,
                               port, frame, /*compressed=*/false,
                               static_cast<std::uint8_t>(site->epoch),
-                              trace_id);
+                              trace_id, /*unrecorded=*/!compression_enabled_);
   }
   if (w.capacity() != cap_before) {
     ++stats_.dataplane.payload_allocs;  // send buffer grew (cold start)

@@ -137,14 +137,6 @@ void TemplateCompressor::reset() {
   count_ = 0;
 }
 
-void TemplateCompressor::note_outgoing(util::BytesView frame) {
-  ++stats_.frames_in;
-  stats_.bytes_in += frame.size();
-  stats_.bytes_out += frame.size();  // sent raw, by definition
-  ring_[count_ % kRingSize].assign(frame.begin(), frame.end());
-  ++count_;
-}
-
 util::Result<util::Bytes> TemplateDecompressor::decompress(
     util::BytesView encoded) {
   util::ByteReader r(encoded);

@@ -9,12 +9,15 @@
 // compression ratio."
 //
 // Scheme: each side of a tunnel connection keeps a ring of the last
-// kRingSize frames that crossed it (in stream order — the transport is
-// reliable and ordered, so encoder and decoder rings stay in lockstep). A
-// frame is encoded as a byte-aligned diff against the best recent reference:
-// alternating copy-from-reference / literal runs. Template traffic collapses
-// to a few bytes; incompressible traffic is sent raw (the codec returns
-// nullopt and the caller clears the compressed flag).
+// kRingSize recorded frames that crossed it (in stream order — the transport
+// is reliable and ordered, so encoder and decoder rings stay in lockstep).
+// Rings advance only on recorded frames: everything the compressor saw,
+// whether it went out compressed or raw. A frame sent while the sender's
+// compression is off carries wire::kFlagUnrecorded and neither ring records
+// it. A frame is encoded as a byte-aligned diff against the best recent
+// reference: alternating copy-from-reference / literal runs. Template
+// traffic collapses to a few bytes; incompressible traffic is sent raw (the
+// codec returns nullopt and the caller clears the compressed flag).
 
 #include <array>
 #include <cstdint>
@@ -54,15 +57,10 @@ class TemplateCompressor {
 
   /// Attempts to compress `frame`. Returns the encoded bytes if strictly
   /// smaller than the original, nullopt otherwise. Either way the caller
-  /// MUST send the frame (raw or compressed) and the codec records it as
-  /// the newest ring entry — encoder and decoder see the same history.
+  /// MUST send the frame (raw or compressed, never flagged unrecorded) and
+  /// the codec records it as the newest ring entry — encoder and decoder
+  /// see the same history.
   std::optional<util::Bytes> compress(util::BytesView frame);
-
-  /// Records `frame` as the newest ring entry WITHOUT running the reference
-  /// search — the fast path when compression is administratively disabled.
-  /// The ring must still advance on every sent frame so the peer's
-  /// decompressor stays in lockstep if compression is toggled back on.
-  void note_outgoing(util::BytesView frame);
 
   /// Forgets the entire reference ring. Lockstep is per *session*: when the
   /// tunnel is re-established (peer restart, RIS reconnect) the other side
@@ -93,8 +91,8 @@ class TemplateCompressor {
 class TemplateDecompressor {
  public:
   /// Inflates an encoded frame. On success the original is recorded in the
-  /// ring. Raw (uncompressed) frames must be recorded via note_raw so the
-  /// rings stay aligned.
+  /// ring. Recorded raw frames (no wire::kFlagUnrecorded) must be recorded
+  /// via note_raw so the rings stay aligned; unrecorded ones must not be.
   util::Result<util::Bytes> decompress(util::BytesView encoded);
   void note_raw(util::BytesView frame);
   /// Forgets the reference ring (see TemplateCompressor::reset).

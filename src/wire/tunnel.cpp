@@ -21,14 +21,16 @@ util::Bytes encode_message(const TunnelMessage& message,
 void encode_message_into(util::ByteWriter& w, MessageType type,
                          RouterId router_id, PortId port_id,
                          util::BytesView payload, bool compressed,
-                         std::uint8_t epoch, std::uint64_t trace_id) {
+                         std::uint8_t epoch, std::uint64_t trace_id,
+                         bool unrecorded) {
   w.u32(kMagic);
   w.u8(kVersion);
   w.u8(static_cast<std::uint8_t>(type));
   w.u16(static_cast<std::uint16_t>(
       (static_cast<std::uint16_t>(epoch) << kEpochShift) |
       (compressed ? kFlagCompressed : 0) |
-      (trace_id != 0 ? kFlagTraced : 0)));
+      (trace_id != 0 ? kFlagTraced : 0) |
+      (unrecorded ? kFlagUnrecorded : 0)));
   w.u32(router_id);
   w.u32(port_id);
   const std::size_t prefix = trace_id != 0 ? kTraceIdSize : 0;
@@ -94,6 +96,15 @@ const std::vector<MessageDecoder::DecodedView>& MessageDecoder::feed_views(
     if ((flags & 0xFFu & ~kFlagKnownMask) != 0) {
       return fail("tunnel: reserved flag bits set");
     }
+    // Unrecorded names a raw data frame; on anything else it is a lie about
+    // ring state the receiver cannot act on.
+    const bool unrecorded = (flags & kFlagUnrecorded) != 0;
+    if (unrecorded && (flags & kFlagCompressed) != 0) {
+      return fail("tunnel: compressed frame flagged unrecorded");
+    }
+    if (unrecorded && type != static_cast<std::uint8_t>(MessageType::kData)) {
+      return fail("tunnel: unrecorded flag on a non-data frame");
+    }
     if (length > kMaxPayload) {
       return fail("tunnel: payload length exceeds maximum");
     }
@@ -114,6 +125,7 @@ const std::vector<MessageDecoder::DecodedView>& MessageDecoder::feed_views(
       view.payload = r.raw(length);
     }
     view.compressed = (flags & kFlagCompressed) != 0;
+    view.unrecorded = unrecorded;
     view.epoch = static_cast<std::uint8_t>(flags >> kEpochShift);
     views_.push_back(view);
     offset += kHeaderSize + length;
@@ -140,6 +152,7 @@ std::vector<MessageDecoder::Decoded> MessageDecoder::feed(
     decoded.message.port_id = view.port_id;
     decoded.message.payload.assign(view.payload.begin(), view.payload.end());
     decoded.compressed = view.compressed;
+    decoded.unrecorded = view.unrecorded;
     decoded.trace_id = view.trace_id;
     out.push_back(std::move(decoded));
   }

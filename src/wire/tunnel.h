@@ -42,11 +42,20 @@ constexpr std::uint16_t kFlagCompressed = 0x0001;
 /// idiom as the epoch byte: semantics extended inside reserved flag space,
 /// no version bump, absent bit means absent id.
 constexpr std::uint16_t kFlagTraced = 0x0002;
+/// A raw kData frame the sender sent with its compression off: neither end
+/// records it in the template-compression rings (wire/compression.h). Rings
+/// advance only on recorded frames — compressed ones and raw frames without
+/// this bit — so a toggle, a shed frame or an epoch reset keeps encoder and
+/// decoder in lockstep while the compression-off data path copies nothing
+/// into them. Absent bit means recorded, as every older encoder sends.
+/// Only legal on a raw kData frame; the decoder rejects it anywhere else.
+constexpr std::uint16_t kFlagUnrecorded = 0x0004;
 /// Every defined bit of the flags low byte. The decoder rejects frames with
 /// any other low-byte bit set: reserved bits must arrive as zero, so future
-/// flags (this file's own history: compressed, then traced) can ship
-/// knowing no old peer has been emitting junk in their slot.
-constexpr std::uint16_t kFlagKnownMask = kFlagCompressed | kFlagTraced;
+/// flags (this file's own history: compressed, traced, then unrecorded) can
+/// ship knowing no old peer has been emitting junk in their slot.
+constexpr std::uint16_t kFlagKnownMask =
+    kFlagCompressed | kFlagTraced | kFlagUnrecorded;
 /// Bytes of trace-id prefix a kFlagTraced payload carries on the wire.
 constexpr std::size_t kTraceIdSize = 8;
 /// The high byte of the flags field carries the session epoch (mod 256): the
@@ -82,10 +91,12 @@ util::Bytes encode_message(const TunnelMessage& message,
 /// as given either way. `epoch` is the sender's session epoch (mod 256),
 /// stamped into the flags high byte. A nonzero `trace_id` sets kFlagTraced
 /// and prepends the id to the payload on the wire (stripped at decode).
+/// `unrecorded` sets kFlagUnrecorded (raw kData only).
 void encode_message_into(util::ByteWriter& w, MessageType type,
                          RouterId router_id, PortId port_id,
                          util::BytesView payload, bool compressed = false,
-                         std::uint8_t epoch = 0, std::uint64_t trace_id = 0);
+                         std::uint8_t epoch = 0, std::uint64_t trace_id = 0,
+                         bool unrecorded = false);
 
 /// Incremental decoder for a byte stream of messages. Feed arbitrary chunks;
 /// complete messages come out. Malformed input poisons the stream (a framing
@@ -103,6 +114,8 @@ class MessageDecoder {
     PortId port_id = 0;
     util::BytesView payload;
     bool compressed = false;
+    /// kFlagUnrecorded: a raw frame neither compression ring records.
+    bool unrecorded = false;
     /// Sender's session epoch (mod 256) from the flags high byte.
     std::uint8_t epoch = 0;
     /// Propagated trace id (kFlagTraced payload prefix), 0 if untraced.
@@ -115,6 +128,7 @@ class MessageDecoder {
   struct Decoded {
     TunnelMessage message;
     bool compressed = false;
+    bool unrecorded = false;
     std::uint64_t trace_id = 0;
   };
 

@@ -1311,6 +1311,85 @@ TEST_F(RnlStack, ShedDataFramesPreserveCompressionLockstep) {
   EXPECT_EQ(server.stats().stalled_evictions, 0u);
 }
 
+TEST_F(RnlStack, CompressionToggledMidStreamKeepsRingsInLockstep) {
+  // Frames sent with compression off are flagged unrecorded and skip both
+  // template rings. Toggling off -> on -> off -> on on every sender while
+  // template traffic is in flight must therefore never desynchronize a
+  // ring: each re-enable compresses against the history both ends recorded
+  // before the last disable. The off phases carry a different template, so
+  // an end that recorded them would inflate the first frame after a
+  // re-enable against the wrong reference and corrupt it.
+  join(site1);
+  join(site2);
+  ASSERT_TRUE(server
+                  .connect_ports(port_of("us-west/h1"), port_of("eu-central/h2"))
+                  .ok());
+  h1.ping(ip("10.0.0.2"), 1);  // resolve ARP before the measured stream
+  net.run_for(util::Duration::milliseconds(500));
+  ASSERT_EQ(h1.ping_replies().size(), 1u);
+  h2.set_udp_echo(true);
+
+  const util::Histogram& server_ratio =
+      server.metrics().histogram("wire.compression_ratio_x100");
+  auto compressed_so_far = [&] {
+    return std::array<std::uint64_t, 3>{
+        site1.compression_stats().frames_compressed,
+        site2.compression_stats().frames_compressed, server_ratio.count()};
+  };
+  // h1 -> h2 UDP, echoed back: every datagram crosses all four rings (both
+  // uplinks, both server egress paths). The payload is one of two
+  // templates with a per-datagram sequence number.
+  std::vector<util::Bytes> sent;
+  auto send_phase = [&](bool on_template, int datagrams) {
+    for (int i = 0; i < datagrams; ++i) {
+      util::Bytes payload(600);
+      for (std::size_t j = 0; j < payload.size(); ++j) {
+        payload[j] = static_cast<std::uint8_t>(
+            on_template ? j * 7 + 3 : (j * 13 + 101) ^ 0x5A);
+      }
+      const auto seq = static_cast<std::uint32_t>(sent.size());
+      for (int b = 0; b < 4; ++b) {
+        payload[static_cast<std::size_t>(b)] =
+            static_cast<std::uint8_t>(seq >> (24 - 8 * b));
+      }
+      h1.send_udp(ip("10.0.0.2"), 5000, 6000, payload);
+      sent.push_back(std::move(payload));
+      net.run_for(util::Duration::milliseconds(10));
+    }
+  };
+
+  send_phase(/*on_template=*/false, 40);  // compression off by default
+  for (const bool enabled : {true, false, true, false, true}) {
+    // The RIS ends flip a few frames before the server, so frames encoded
+    // under both settings are in flight across each toggle.
+    site1.set_compression_enabled(enabled);
+    site2.set_compression_enabled(enabled);
+    send_phase(enabled, 3);
+    server.set_compression_enabled(enabled);
+    const auto before = compressed_so_far();
+    send_phase(enabled, 40);
+    const auto after = compressed_so_far();
+    for (std::size_t i = 0; i < before.size(); ++i) {
+      if (enabled) {
+        EXPECT_GT(after[i], before[i]) << "sender " << i;
+      } else {
+        EXPECT_EQ(after[i], before[i]) << "sender " << i;
+      }
+    }
+  }
+  net.run_for(util::Duration::seconds(1));
+
+  // Every datagram came back byte for byte, in order.
+  const auto& echoed = h1.received_udp();
+  ASSERT_EQ(echoed.size(), sent.size());
+  for (std::size_t i = 0; i < sent.size(); ++i) {
+    ASSERT_EQ(echoed[i].payload, sent[i]) << "datagram " << i;
+  }
+  EXPECT_EQ(site1.stats().decode_errors, 0u);
+  EXPECT_EQ(site2.stats().decode_errors, 0u);
+  EXPECT_EQ(server.stats().decode_errors, 0u);
+}
+
 TEST_F(RnlStack, ControlSpamToStalledSiteIsBoundedByTheHardCap) {
   // Control is never shed — but its deferred bytes still count against the
   // hard cap, so even control spam toward a wedged site cannot grow server

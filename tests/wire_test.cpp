@@ -153,40 +153,65 @@ TEST(TunnelCodec, TracedFrameShorterThanItsTraceIdIsAFramingError) {
 }
 
 TEST(TunnelCodec, RejectsUndefinedReservedFlagBits) {
-  // The low flag byte defines bit0 (compressed) and bit1 (traced); every
-  // other bit is reserved and a frame setting one must be rejected as a
-  // framing error, not silently accepted — otherwise a future flag could
-  // never be introduced safely (old decoders would mis-parse frames whose
-  // new flag changes the payload layout, exactly like kFlagTraced does).
-  for (const std::uint16_t junk :
-       {std::uint16_t{0x0004}, std::uint16_t{0x0008}, std::uint16_t{0x0080},
-        std::uint16_t{0x00FC}}) {
+  // The low flag byte defines bit0 (compressed), bit1 (traced) and bit2
+  // (unrecorded); every other bit is reserved and a frame setting one must
+  // be rejected as a framing error, not silently accepted — otherwise a
+  // future flag could never be introduced safely (old decoders would
+  // mis-parse frames whose new flag changes the payload layout, exactly
+  // like kFlagTraced does).
+  auto with_flags = [](MessageType type, std::uint16_t low_bits) {
     TunnelMessage msg;
-    msg.type = MessageType::kData;
+    msg.type = type;
     msg.router_id = 1;
     msg.port_id = 2;
     msg.payload = {9, 9, 9};
     util::Bytes wire = encode_message(msg);
     // Flags are the u16 at offset 6 (big-endian); epoch lives in the high
-    // byte and stays legal — only the low-byte reserved bits are junk.
+    // byte and stays legal — only the low-byte bits are under test.
     wire[6] = static_cast<std::uint8_t>(0x07);  // epoch 7, still valid
-    wire[7] |= static_cast<std::uint8_t>(junk & 0xFF);
+    wire[7] |= static_cast<std::uint8_t>(low_bits & 0xFF);
+    return wire;
+  };
+  for (const std::uint16_t junk :
+       {std::uint16_t{0x0008}, std::uint16_t{0x0080}, std::uint16_t{0x00F8}}) {
     MessageDecoder decoder;
-    decoder.feed(wire);
+    decoder.feed(with_flags(MessageType::kData, junk));
     EXPECT_TRUE(decoder.failed()) << "flags 0x" << std::hex << junk;
+  }
+  // Unrecorded is defined, but only on a raw data frame: a compressed frame
+  // is always recorded, and no other type touches the compression rings.
+  {
+    MessageDecoder decoder;
+    decoder.feed(
+        with_flags(MessageType::kData, kFlagCompressed | kFlagUnrecorded));
+    EXPECT_TRUE(decoder.failed());
+  }
+  for (const MessageType type :
+       {MessageType::kJoin, MessageType::kConsoleData, MessageType::kKeepalive,
+        MessageType::kError}) {
+    MessageDecoder decoder;
+    decoder.feed(with_flags(type, kFlagUnrecorded));
+    EXPECT_TRUE(decoder.failed()) << "type " << static_cast<int>(type);
   }
   // Control: the defined bits plus an epoch byte still decode.
   util::ByteWriter w;
   encode_message_into(w, MessageType::kData, 1, 2,
                       util::BytesView{},
                       /*compressed=*/false, /*epoch=*/7,
-                      /*trace_id=*/1);
+                      /*trace_id=*/1, /*unrecorded=*/true);
   MessageDecoder ok_decoder;
   const auto& ok_views = ok_decoder.feed_views(w.view());
   ASSERT_EQ(ok_views.size(), 1u);
   EXPECT_FALSE(ok_decoder.failed());
   EXPECT_EQ(ok_views[0].epoch, 7u);
   EXPECT_EQ(ok_views[0].trace_id, 1u);
+  EXPECT_TRUE(ok_views[0].unrecorded);
+  EXPECT_FALSE(ok_views[0].compressed);
+  MessageDecoder hand_decoder;
+  auto hand =
+      hand_decoder.feed(with_flags(MessageType::kData, kFlagUnrecorded));
+  ASSERT_EQ(hand.size(), 1u);
+  EXPECT_TRUE(hand[0].unrecorded);
 }
 
 namespace {
@@ -588,26 +613,21 @@ TEST(Compression, DecompressorRejectsCorruptInput) {
   EXPECT_FALSE(decompressor.decompress(truncated).ok());
 }
 
-TEST(Compression, NoteOutgoingKeepsRingsInLockstep) {
-  // Frames sent while compression is administratively off must still advance
-  // the encoder ring (note_outgoing / note_raw) or the first compressed
-  // frame after re-enabling references history the peer never recorded.
+TEST(Compression, UnrecordedFramesKeepRingsInLockstep) {
+  // Frames sent while compression is administratively off are unrecorded:
+  // neither ring copies them, so the first compressed frame after
+  // re-enabling references only history both ends recorded.
   TemplateCompressor compressor;
   TemplateDecompressor decompressor;
   util::Bytes frame(400, 0x42);
   auto send = [&](bool enabled) {
-    if (enabled) {
-      auto compressed = compressor.compress(frame);
-      if (compressed.has_value()) {
-        auto inflated = decompressor.decompress(*compressed);
-        ASSERT_TRUE(inflated.ok());
-        ASSERT_EQ(*inflated, frame);
-      } else {
-        decompressor.note_raw(frame);
-      }
+    if (!enabled) return;  // sent raw with kFlagUnrecorded: no ring moves
+    auto compressed = compressor.compress(frame);
+    if (compressed.has_value()) {
+      auto inflated = decompressor.decompress(*compressed);
+      ASSERT_TRUE(inflated.ok());
+      ASSERT_EQ(*inflated, frame);
     } else {
-      // Disabled fast path: record without searching for a reference.
-      compressor.note_outgoing(frame);
       decompressor.note_raw(frame);
     }
   };
@@ -633,7 +653,79 @@ TEST(Compression, NoteOutgoingKeepsRingsInLockstep) {
     stamp();
     send(/*enabled=*/true);
   }
-  EXPECT_GE(compressor.stats().frames_compressed - before, 7u);
+  EXPECT_GE(compressor.stats().frames_compressed - before, 8u);
+}
+
+TEST(Compression, UnrecordedRawFrameAdvancesNeitherRing) {
+  // The ring rule as the data plane applies it to decoded tunnel frames: a
+  // raw kData frame records at the receiver unless it carries
+  // kFlagUnrecorded. Sender side, only frames the compressor saw recorded.
+  TemplateCompressor compressor;
+  TemplateDecompressor decompressor;
+  MessageDecoder decoder;
+  // Sends `frame` over the wire and returns what the receiver reproduced.
+  auto deliver = [&](const util::Bytes& frame, bool compression_on) {
+    util::ByteWriter w;
+    std::optional<util::Bytes> compressed;
+    if (compression_on) compressed = compressor.compress(frame);
+    if (compressed.has_value()) {
+      encode_message_into(w, MessageType::kData, 1, 2, *compressed,
+                          /*compressed=*/true);
+    } else {
+      encode_message_into(w, MessageType::kData, 1, 2, frame,
+                          /*compressed=*/false, /*epoch=*/0, /*trace_id=*/0,
+                          /*unrecorded=*/!compression_on);
+    }
+    const auto& views = decoder.feed_views(w.view());
+    EXPECT_EQ(views.size(), 1u);
+    const auto& view = views.at(0);
+    EXPECT_EQ(view.unrecorded, !compression_on);
+    if (view.compressed) {
+      auto inflated = decompressor.decompress(view.payload);
+      EXPECT_TRUE(inflated.ok());
+      return inflated.ok() ? *inflated : util::Bytes{};
+    }
+    if (!view.unrecorded) decompressor.note_raw(view.payload);
+    return util::Bytes(view.payload.begin(), view.payload.end());
+  };
+  util::Rng rng(7);
+  auto noise = [&] {
+    util::Bytes frame(300);
+    for (auto& b : frame) b = static_cast<std::uint8_t>(rng.next_u32());
+    return frame;
+  };
+  util::Bytes tmpl(500, 0x5A);
+  auto stamped = [&](std::uint8_t seq) {
+    util::Bytes frame = tmpl;
+    frame[9] = seq;
+    return frame;
+  };
+
+  ASSERT_EQ(deliver(stamped(0), true), stamped(0));  // raw, recorded
+  ASSERT_EQ(deliver(stamped(1), true), stamped(1));  // compressed vs age 1
+
+  // More unrecorded noise than the ring holds: if either ring recorded it,
+  // the template frames would be evicted (sender) or shadowed (receiver).
+  for (std::size_t i = 0; i < TemplateCompressor::kRingSize + 3; ++i) {
+    util::Bytes frame = noise();
+    ASSERT_EQ(deliver(frame, false), frame);
+  }
+  std::optional<util::Bytes> probe =
+      TemplateCompressor(compressor).compress(stamped(2));
+  ASSERT_TRUE(probe.has_value());
+  EXPECT_EQ((*probe)[1], 1u);  // newest reference is still stamped(1)
+  ASSERT_EQ(deliver(stamped(2), true), stamped(2));
+
+  // A raw frame WITHOUT the flag — incompressible noise while compression is
+  // on, or any legacy encoder — records at both ends: the next template
+  // frame's best reference is now two back.
+  util::Bytes legacy = noise();
+  ASSERT_EQ(deliver(legacy, true), legacy);
+  probe = TemplateCompressor(compressor).compress(stamped(3));
+  ASSERT_TRUE(probe.has_value());
+  EXPECT_EQ((*probe)[1], 2u);
+  ASSERT_EQ(deliver(stamped(3), true), stamped(3));
+  EXPECT_FALSE(decoder.failed());
 }
 
 TEST(Compression, LockstepSurvivesPeerRestartViaReset) {
@@ -684,13 +776,15 @@ TEST(Compression, LockstepSurvivesPeerRestartViaReset) {
 TEST(Compression, MixedRawAndCompressedTrafficStaysLossless) {
   // Mixed workload: template bursts (compressible) interleaved with random
   // frames (sent raw via the nullopt path) and disabled-phase frames (sent
-  // raw via note_outgoing). The decompressor must reproduce every frame.
+  // raw and unrecorded, so neither ring sees them). The decompressor must
+  // reproduce every frame.
   util::Rng rng(4242);
   TemplateCompressor compressor;
   TemplateDecompressor decompressor;
   util::Bytes base(350);
   for (auto& b : base) b = static_cast<std::uint8_t>(rng.next_u32());
   bool enabled = true;
+  std::uint64_t offered = 0;  // frames sent while compression was on
   for (int i = 0; i < 400; ++i) {
     if (i % 37 == 0) enabled = !enabled;  // mid-stream toggles
     util::Bytes frame;
@@ -703,6 +797,7 @@ TEST(Compression, MixedRawAndCompressedTrafficStaysLossless) {
     }
     util::Bytes received;
     if (enabled) {
+      ++offered;
       auto compressed = compressor.compress(frame);
       if (compressed.has_value()) {
         auto inflated = decompressor.decompress(*compressed);
@@ -713,15 +808,15 @@ TEST(Compression, MixedRawAndCompressedTrafficStaysLossless) {
         received = frame;
       }
     } else {
-      compressor.note_outgoing(frame);
-      decompressor.note_raw(frame);
-      received = frame;
+      received = frame;  // unrecorded: neither ring copies it
     }
     ASSERT_EQ(received, frame) << "frame " << i;
   }
-  // The template share must actually have exercised the compressed path.
+  // The template share must actually have exercised the compressed path,
+  // and the codec's ledger counts only the frames it was offered.
   EXPECT_GT(compressor.stats().frames_compressed, 100u);
-  EXPECT_EQ(compressor.stats().frames_in, 400u);
+  EXPECT_EQ(compressor.stats().frames_in, offered);
+  EXPECT_LT(offered, 400u);
 }
 
 // ---------------------------------------------------------------------------
