@@ -698,8 +698,6 @@ int main(int argc, char** argv) {
               counter_of(m, "routeserver.slow_path_frames"));
       row.set("payload_allocs", counter_of(m, "routeserver.payload_allocs"));
       row.set("bytes_copied", counter_of(m, "routeserver.bytes_copied"));
-      row.set("allocs_avoided", counter_of(m, "routeserver.allocs_avoided"));
-      row.set("copies_avoided", counter_of(m, "routeserver.copies_avoided"));
       row.set("egress_flushes", counter_of(m, "routeserver.egress_flushes"));
       row.set("frames_coalesced",
               counter_of(m, "routeserver.frames_coalesced"));

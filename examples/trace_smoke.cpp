@@ -8,6 +8,8 @@
 //     frame (wire::kFlagTraced + 8-byte prefix);
 //   - the server-side sub-spans (matrix lookup + egress enqueue) sum to
 //     within 10% of the end-to-end forward span;
+//   - a frame sent from an unwired port after the burst shows up as an
+//     `unrouted_drop` lifecycle instant carrying that port id;
 //   - the Perfetto export is valid JSON with metadata and complete events
 //     (written to disk so check.sh can re-parse it with a real JSON parser).
 // Exits nonzero on any violation, so CI can run it as a self-checking gate.
@@ -59,7 +61,8 @@ int main(int argc, char** argv) {
   }
   ris::RouterInterface& west = bed.add_site("west");
   ris::RouterInterface& east = bed.add_site("east");
-  devices::TrafficGenerator& gen_w = bed.add_traffgen(west, "gen", 1);
+  // port1 is wired to east; port2 stays unwired for the drop check.
+  devices::TrafficGenerator& gen_w = bed.add_traffgen(west, "gen", 2);
   devices::TrafficGenerator& gen_e = bed.add_traffgen(east, "gen", 1);
   gen_e.set_count_only(true);
 
@@ -117,6 +120,20 @@ int main(int argc, char** argv) {
   }
   expect(gen_e.rx_count(0) == kFrames, "all frames of the burst arrived");
 
+  // -- Drop verdicts: one frame out of the unwired port must die at the
+  //    matrix lookup and leave an unrouted_drop instant behind. --
+  const wire::PortId unwired = bed.port_id("west/gen", "port2");
+  const std::uint64_t drops_before = bed.server().stats().unrouted_drops;
+  stream.count = 1;
+  gen_w.start_stream(1, stream);
+  for (int i = 0;
+       i < 1000 && bed.server().stats().unrouted_drops == drops_before; ++i) {
+    bed.net().run_for(util::Duration::microseconds(100));
+    loop.run_once(0);
+  }
+  expect(bed.server().stats().unrouted_drops == drops_before + 1,
+         "the unwired port's frame was dropped unrouted");
+
   // -- Cross-process completeness: capture, forward, and replay spans that
   //    share one id, each from the ring the right component pushed into. --
   struct PerTrace {
@@ -127,8 +144,14 @@ int main(int argc, char** argv) {
     std::uint64_t sub_ns = 0;  // matrix lookup + egress enqueue
   };
   std::map<std::string, PerTrace> traces;
+  std::size_t unrouted_instants = 0;
   const util::Json dump = bed.tracer().to_json();
   for (const auto& e : dump["events"].as_array()) {
+    if (e["detail"].as_string() == "unrouted_drop" &&
+        e["arg"].as_int() == static_cast<std::int64_t>(unwired)) {
+      ++unrouted_instants;
+      continue;
+    }
     PerTrace& t = traces[e["trace_id"].as_string()];
     const std::string& stage = e["stage"].as_string();
     const std::string& component = e["component"].as_string();
@@ -165,6 +188,8 @@ int main(int argc, char** argv) {
   expect(sum_checked > 0, "sub-span sum check had forward spans to check");
   expect(sum_ok == sum_checked,
          "per-stage durations sum within 10% of the forward span");
+  expect(unrouted_instants == 1,
+         "one unrouted_drop instant names the unwired port");
 
   // -- Perfetto export: write, re-parse, check the trace-event shape. --
   const std::string perfetto = bed.tracer().to_perfetto();

@@ -65,8 +65,10 @@
 #   --trace    tracing smoke: run examples/trace_smoke (a 2-site forwarding
 #              burst over TCP loopback at 1-in-1 head sampling, which
 #              asserts >= 1 complete cross-process trace and the sub-span
-#              sum invariant), then re-parse its Perfetto export with a real
-#              JSON parser and check the trace-event shape.
+#              sum invariant, and sends one frame from an unwired port),
+#              then re-parse its Perfetto export with a real JSON parser,
+#              check the trace-event shape, and require an "i" instant
+#              named unrouted_drop for that frame.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -233,8 +235,10 @@ spans = [e for e in events if e["ph"] == "X"]
 assert all("dur" in e and "ts" in e for e in spans), "span missing ts/dur"
 ids = {e["args"]["trace_id"] for e in spans if "args" in e}
 assert len(ids) > 1, "spans do not carry distinct trace ids"
+drops = [e for e in events if e["ph"] == "i" and e["name"] == "unrouted_drop"]
+assert drops, "no unrouted_drop instant for the unwired port's frame"
 print(f"perfetto OK: {len(events)} events, {len(spans)} spans, "
-      f"{len(ids)} trace ids")
+      f"{len(ids)} trace ids, {len(drops)} unrouted_drop instant(s)")
 EOF
 fi
 

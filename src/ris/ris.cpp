@@ -8,7 +8,7 @@ namespace rnl::ris {
 namespace {
 constexpr const char* kLog = "ris";
 // Stage-latency histograms (capture/replay) sample 1 frame in
-// util::kDefaultStageSamplePeriod — the shared stage-clock knob (the
+// util::kDefaultStageSamplePeriod — the stage-clock knob (the
 // tracer's head sampler uses the sparser util::kDefaultHeadSamplePeriod,
 // since traced frames cost more than a clocked one). The power-of-two mask
 // keeps the modulo branch-free.

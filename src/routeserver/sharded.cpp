@@ -62,15 +62,8 @@ void accumulate(RouteServerStats& total, const RouteServerStats& part) {
   total.dataplane.slow_path_frames += part.dataplane.slow_path_frames;
   total.dataplane.payload_allocs += part.dataplane.payload_allocs;
   total.dataplane.bytes_copied += part.dataplane.bytes_copied;
-  total.dataplane.allocs_avoided += part.dataplane.allocs_avoided;
-  total.dataplane.copies_avoided += part.dataplane.copies_avoided;
   total.dataplane.egress_flushes += part.dataplane.egress_flushes;
   total.dataplane.frames_coalesced += part.dataplane.frames_coalesced;
-#ifdef RNL_DATAPLANE_CYCLES
-  total.dataplane.decode_ns += part.dataplane.decode_ns;
-  total.dataplane.route_ns += part.dataplane.route_ns;
-  total.dataplane.encode_send_ns += part.dataplane.encode_send_ns;
-#endif
 }
 
 }  // namespace

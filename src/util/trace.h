@@ -50,9 +50,10 @@ template <typename Concurrency>
 class BasicHistogram;
 using Histogram = BasicHistogram<StdConcurrency>;
 
-/// One-in-N sampling period shared by the RIS capture/replay stage clocks
-/// and the route server's stage clocks (README "knobs"). Power of two: all
-/// users gate with `(counter & (period - 1)) == 0`.
+/// One-in-N sampling period of the RIS capture/replay stage clocks (README
+/// "knobs"). The route server samples nothing: it times every routed frame
+/// into `routeserver.forward_ns`. Power of two: users gate with
+/// `(counter & (period - 1)) == 0`.
 constexpr std::uint32_t kDefaultStageSamplePeriod = 16;
 
 /// Default head-sampling period for the tracer. Deliberately sparser than

@@ -233,9 +233,6 @@ TEST_F(RnlStack, SteadyStateFastPathAllocatesNothing) {
   EXPECT_EQ(site1.stats().payload_allocs + site2.stats().payload_allocs -
                 ris_allocs_before,
             0u);
-  // The avoided-work ledger moves in step with the fast path.
-  EXPECT_EQ(dp.allocs_avoided, dp.fast_path_frames * 3);
-  EXPECT_EQ(dp.copies_avoided, dp.fast_path_frames * 2);
 }
 
 TEST_F(RnlStack, CaptureAndCompressionForceSlowPath) {
@@ -726,12 +723,26 @@ TEST_F(RnlStack, RejoinUnderLiveNameSupersedesTheZombieSession) {
 // eviction (ROADMAP: a stalled RIS must not exhaust the shared route server)
 // ---------------------------------------------------------------------------
 
+/// All events of `tracer` whose lifecycle detail matches `detail`.
+std::vector<util::Json> instants_named(util::Tracer& tracer,
+                                       const std::string& detail) {
+  std::vector<util::Json> out;
+  util::Json dump = tracer.to_json();
+  for (const auto& e : dump["events"].as_array()) {
+    if (e["detail"].as_string() == detail) out.push_back(e);
+  }
+  return out;
+}
+
 TEST_F(RnlStack, StalledConsumerIsShedBoundedEvictedAndRejoinsCleanly) {
   // The acceptance scenario: site3 wedges (zero-window tunnel) while the
   // healthy site1<->site2 pair keeps carrying traffic. The server must (a)
   // bound the memory parked for site3 under the hard cap, (b) never shed
   // control, (c) keep forward latency for the healthy pair unchanged, and
   // (d) evict site3 at the stall deadline so it can rejoin cleanly.
+  util::Tracer tracer;
+  tracer.set_enabled(true);
+  server.set_tracer(&tracer);
   devices::Host h3(net, "h3");
   h3.configure(prefix("10.0.0.3/24"), ip("10.0.0.254"));
   ris::RouterInterface site3(net, "ap-south");
@@ -836,15 +847,9 @@ TEST_F(RnlStack, StalledConsumerIsShedBoundedEvictedAndRejoinsCleanly) {
   EXPECT_LE(stall_p99,
             std::max<std::uint64_t>(baseline_p99 * 8, 20'000));
 
-  // The flight recorder kept the story: shed frames, then the eviction.
-  bool saw_shed = false;
-  bool saw_evicted = false;
-  for (const auto& event : server.flight_recorder().dump()) {
-    saw_shed |= event.kind == util::FlightRecorder::EventKind::kShed;
-    saw_evicted |= event.kind == util::FlightRecorder::EventKind::kEvicted;
-  }
-  EXPECT_TRUE(saw_shed);
-  EXPECT_TRUE(saw_evicted);
+  // The tracer kept the story: shed frames, then the one eviction.
+  EXPECT_GE(instants_named(tracer, "shed_drop").size(), 1u);
+  EXPECT_EQ(instants_named(tracer, "eviction").size(), 1u);
 
   // (d) Clean rejoin through the epoch machinery, same identity.
   server.set_liveness_timeout(util::Duration{});
@@ -1532,17 +1537,6 @@ TEST(RisSlices, LogicalRoutersShareOneDevice) {
 // End-to-end frame tracing (util/trace.h): propagated span contexts across
 // the tunnel, terminal instants for every drop verdict, and lifecycle events.
 // ---------------------------------------------------------------------------
-
-/// All events of `tracer` whose lifecycle detail matches `detail`.
-std::vector<util::Json> instants_named(util::Tracer& tracer,
-                                       const std::string& detail) {
-  std::vector<util::Json> out;
-  util::Json dump = tracer.to_json();
-  for (const auto& e : dump["events"].as_array()) {
-    if (e["detail"].as_string() == detail) out.push_back(e);
-  }
-  return out;
-}
 
 TEST_F(RnlStack, TracedForwardSharesOneIdAcrossComponents) {
   util::Tracer tracer;
