@@ -5,11 +5,18 @@
 // wire bytes are fed whole into one decoder and in seed-derived random
 // splits into another; both must agree on every decoded message, the
 // poisoned/error state, and (on success) buffered(). This pins down the
-// split-feed/watermark resume path — the part of the decoder unit tests
-// cannot reach from every angle.
+// split-feed resume path — the part of the decoder unit tests cannot reach
+// from every angle.
+//
+// A third decoder checks the in-place view lifetime: each chunk is copied
+// into a scratch buffer, fed with feed_views, and its views are compared at
+// once against the whole-stream decode; then the scratch buffer is
+// overwritten with garbage before the next feed. Decoder state that kept
+// pointing into a caller's chunk past its feed shows up as a mismatch.
 //
 // Input layout: [8-byte chunking seed][wire stream bytes].
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -25,6 +32,15 @@ bool same_message(const MessageDecoder::Decoded& a,
                   const MessageDecoder::Decoded& b) {
   return a.message == b.message && a.compressed == b.compressed &&
          a.unrecorded == b.unrecorded;
+}
+
+bool same_view(const MessageDecoder::Decoded& a,
+               const MessageDecoder::DecodedView& b) {
+  return a.message.type == b.type && a.message.router_id == b.router_id &&
+         a.message.port_id == b.port_id && a.compressed == b.compressed &&
+         a.unrecorded == b.unrecorded && a.trace_id == b.trace_id &&
+         std::equal(a.message.payload.begin(), a.message.payload.end(),
+                    b.payload.begin(), b.payload.end());
 }
 
 }  // namespace
@@ -65,5 +81,28 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
     // On a clean stream both decoders hold the same trailing partial frame.
     FUZZ_ASSERT(whole.buffered() == chunked.buffered());
   }
+
+  MessageDecoder viewed;
+  rnl::util::Rng view_rng(seed + 1);  // different split points
+  std::vector<std::uint8_t> scratch;
+  std::size_t matched = 0;
+  offset = 0;
+  while (offset < stream.size()) {
+    std::size_t take = 1 + view_rng.below(96);
+    if (take > stream.size() - offset) take = stream.size() - offset;
+    const auto chunk = stream.subspan(offset, take);
+    scratch.assign(chunk.begin(), chunk.end());
+    for (const auto& view : viewed.feed_views(scratch)) {
+      FUZZ_ASSERT(matched < whole_out.size());
+      FUZZ_ASSERT(same_view(whole_out[matched], view));
+      ++matched;
+    }
+    std::fill(scratch.begin(), scratch.end(), 0xA5);  // the chunk dies
+    offset += take;
+  }
+  FUZZ_ASSERT(matched == whole_out.size());
+  FUZZ_ASSERT(whole.failed() == viewed.failed());
+  FUZZ_ASSERT(whole.error() == viewed.error());
+  if (!whole.failed()) FUZZ_ASSERT(whole.buffered() == viewed.buffered());
   return 0;
 }

@@ -86,6 +86,24 @@ write("message_decoder", "truncated_payload.bin",
       SEED + frame(3, 1, 2, b"0123456789abcdef")[:-7])
 write("message_decoder", "error_then_frame.bin",
       SEED + frame(5) + b"JUNK" + frame(5))
+# In-place decode: messages whose header/payload boundaries fall at odd
+# offsets, so the chunking seed splits them mid-header, at the exact header
+# boundary and mid-payload. The decoder then completes a buffered message
+# from the head of the next chunk and parses the rest of that chunk in
+# place; the traced frame also straddles its 8-byte trace-id prefix.
+write("message_decoder", "straddle_header_payload.bin",
+      SEED
+      + frame(3, 1, 2, b"\x11" * 3)
+      + frame(3, 1, 2, struct.pack(">Q", 0xABCDEF) + b"\x22" * 77,
+              flags=0x0002)
+      + frame(5)
+      + frame(3, 1, 2, b"\x33" * 131, flags=0x0004)
+      + frame(3, 1, 2, b"\x44" * 19)[:-5])
+# A run of frames exactly one fuzz-chunk long (96 bytes on the wire), so
+# many splits land on a message boundary and the next chunk starts clean
+# while the previous one left nothing behind.
+write("message_decoder", "straddle_chunk_sized_frames.bin",
+      SEED + b"".join(frame(3, 4, 5, bytes([i]) * 76) for i in range(6)))
 
 # -- tunnel_roundtrip: field combinations for the encode/decode identity --
 write("tunnel_roundtrip", "keepalive_min.bin",

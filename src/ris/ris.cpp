@@ -472,6 +472,8 @@ void RouterInterface::on_transport_data(util::BytesView chunk) {
     transport_->close();
     return;
   }
+  // The views point into `chunk` (owned by the transport's delivery, not by
+  // transport_) or into the decoder, so they outlive this loop.
   for (const auto& decoded : messages) handle_message(decoded);
 }
 
@@ -556,7 +558,7 @@ void RouterInterface::handle_message(
         ++stats_.payload_allocs;
       } else {
         if (!msg.unrecorded) decompressor_.note_raw(msg.payload);
-        frame = msg.payload;  // zero-copy: view into the decoder buffer
+        frame = msg.payload;  // zero-copy: a view of the received bytes
       }
       auto slot = id_to_slot_.find({msg.router_id, msg.port_id});
       if (slot == id_to_slot_.end()) {

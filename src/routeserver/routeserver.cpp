@@ -140,8 +140,10 @@ void RouteServer::set_id_allocation(std::uint32_t shard_index,
 }
 
 void RouteServer::set_remote_wire_handlers(RemoteDeliverHandler deliver,
+                                           RemoteFlushHandler flush,
                                            RemoteDisconnectHandler disconnect) {
   remote_deliver_ = std::move(deliver);
+  remote_flush_ = std::move(flush);
   remote_disconnect_ = std::move(disconnect);
 }
 
@@ -239,6 +241,18 @@ void RouteServer::flush_pending() {
       flush_site(site);
     }
   }
+  if (remote_batch_open_) {
+    remote_batch_open_ = false;
+    if (remote_flush_) remote_flush_();
+  }
+}
+
+void RouteServer::send_remote(wire::PortId peer, util::BytesView frame,
+                              std::uint64_t trace_id) {
+  ++stats_.cross_shard_frames_out;
+  if (!remote_deliver_) return;
+  remote_deliver_(peer, frame, trace_id);
+  remote_batch_open_ = true;
 }
 
 std::size_t RouteServer::sites_shedding() const {
@@ -425,8 +439,8 @@ void RouteServer::on_site_data(Site* site, util::BytesView chunk) {
   }
   site->last_heard = scheduler_.now();
   // Two clock reads per readable event (not per frame), only while tracing:
-  // the decode-batch span covers one feed — parse + lazy compaction — for
-  // every frame the chunk completed.
+  // the decode-batch span covers one feed (an in-place parse) for every
+  // frame the chunk completed.
   const bool trace_decode = tracing();
   const std::uint64_t decode_t0 = trace_decode ? util::monotonic_ns() : 0;
   const auto& messages = site->decoder.feed_views(chunk);
@@ -451,12 +465,14 @@ void RouteServer::on_site_data(Site* site, util::BytesView chunk) {
     return;
   }
   // Batch decode: one feed drained every complete frame the chunk
-  // completed, amortizing buffer compaction across the whole batch; a
-  // trailing partial frame stays buffered for the next readable event.
+  // completed, parsed in place; only a trailing partial frame is copied,
+  // and stays buffered for the next readable event.
   if (!messages.empty()) decode_batch_hist_->record(messages.size());
   // The views (and their payloads) stay valid for this whole loop: nothing
-  // below feeds this site's decoder again. Stale-epoch and shed frames drop
-  // out mid-batch inside handle_data/deliver_to_port without disturbing the
+  // below feeds this site's decoder again, and `chunk` belongs to the
+  // transport's delivery (or accept()'s replay), not to the transport a
+  // mid-loop teardown may close. Stale-epoch and shed frames drop out
+  // mid-batch inside handle_data/deliver_to_port without disturbing the
   // frames around them (or compressor lockstep — see the gates there).
   for (const auto& decoded : messages) {
     handle_message(site, decoded);
@@ -742,7 +758,7 @@ void RouteServer::handle_data(Site* site,
     ++stats_.dataplane.payload_allocs;  // decompressor output buffer
   } else {
     if (!msg.unrecorded) site->decompressor.note_raw(msg.payload);
-    frame = msg.payload;  // zero-copy: view into the decoder buffer
+    frame = msg.payload;  // zero-copy: a view of the received bytes
   }
 
   if (active_captures_ != 0) {
@@ -772,11 +788,11 @@ void RouteServer::handle_data(Site* site,
   if (wire_end.netem != nullptr) {
     wire_end.netem->send(frame);  // sink delivers to the peer after the WAN
   } else if (wire_end.remote) {
-    // Cross-shard wire: hand the frame to the owning shard's ring. The
+    // Cross-shard wire: append the frame to the batch toward the owning
+    // shard, which the end-of-burst flush_pending hands to its ring. The
     // peer port id is already the destination; the receiving shard's drain
     // loop finishes the delivery via deliver_remote.
-    ++stats_.cross_shard_frames_out;
-    if (remote_deliver_) remote_deliver_(wire_end.peer, frame, msg.trace_id);
+    send_remote(wire_end.peer, frame, msg.trace_id);
   } else {
     deliver_to_port(wire_end.peer, frame, slow, msg.trace_id);
   }
@@ -817,9 +833,10 @@ void RouteServer::deliver_remote(wire::PortId port, util::BytesView frame,
                                  std::uint64_t trace_id) {
   RNL_DCHECK(on_owner_thread());
   ++stats_.cross_shard_frames_in;
-  // Slow path by definition: the frame was copied through the ring, so the
-  // zero-copy accounting does not apply. The drain loop batches flushes
-  // (flush_egress once per burst), matching the decode loop's cadence.
+  // Slow path by definition: the frame was copied into a cross-shard
+  // batch, so the zero-copy accounting does not apply. The drain loop
+  // batches flushes (flush_egress once per burst), matching the decode
+  // loop's cadence.
   deliver_to_port(port, frame, /*slow=*/true, trace_id);
 }
 
@@ -1101,11 +1118,12 @@ util::Status RouteServer::connect_port_remote(wire::PortId local,
                         wan.loss_probability != 0;
   if (impaired) {
     // Each shard impairs the direction it sends; the netem sink hands the
-    // delayed frame to the cross-shard ring instead of a local port.
+    // delayed frame to the cross-shard wire instead of a local port.
     end.netem = std::make_unique<wire::Netem>(
         scheduler_, wan, [this, peer](util::Bytes frame) {
-          ++stats_.cross_shard_frames_out;
-          if (remote_deliver_) remote_deliver_(peer, frame, 0);
+          send_remote(peer, frame, 0);
+          // The WAN hand-off is a burst of its own: push the batch now.
+          flush_pending();
         });
     end.netem->set_applied_delay_histogram(netem_delay_hist_);
   }

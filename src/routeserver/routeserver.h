@@ -185,16 +185,21 @@ class RouteServer {
   /// Invoked when a frame is routed into a cross-shard wire end: the
   /// destination port (already the *peer* port id, owned by another
   /// shard), the frame bytes (valid only for the call), and the frame's
-  /// trace id (0 untraced). The handler copies into the SPSC ring toward
-  /// the owning shard.
+  /// trace id (0 untraced). The handler copies the frame into an open
+  /// batch toward the owning shard.
   using RemoteDeliverHandler =
       std::function<void(wire::PortId, util::BytesView, std::uint64_t)>;
+  /// Invoked at the end of a burst that delivered remote frames (from
+  /// flush_pending, beside the site egress flushes): the handler hands
+  /// every open cross-shard batch to its ring.
+  using RemoteFlushHandler = std::function<void()>;
   /// Invoked after this server tears down its end of a cross-shard wire
   /// (site loss or explicit disconnect) so the peer shard can clear the
   /// other end. Arguments: local port (this shard), peer port (remote).
   using RemoteDisconnectHandler =
       std::function<void(wire::PortId, wire::PortId)>;
   void set_remote_wire_handlers(RemoteDeliverHandler deliver,
+                                RemoteFlushHandler flush,
                                 RemoteDisconnectHandler disconnect);
 
   /// Installs this shard's end of a cross-shard wire: frames leaving
@@ -518,9 +523,14 @@ class RouteServer {
   /// Hands the site's open egress batch (if any) to the transport in one
   /// write. Safe on dead sites (discards) and on empty batches (no-op).
   void flush_site(Site* site);
-  /// End-of-burst flush: drains every site with an open batch. Called after
-  /// each decode loop, inject, and impaired-wire delivery.
+  /// End-of-burst flush: drains every site with an open batch, then the
+  /// open cross-shard batches. Called after each decode loop, inject, and
+  /// impaired-wire delivery.
   void flush_pending();
+  /// Routes a frame into a cross-shard wire end (remote-deliver handler);
+  /// the next flush_pending hands its batch to the ring.
+  void send_remote(wire::PortId peer, util::BytesView frame,
+                   std::uint64_t trace_id);
   [[nodiscard]] std::size_t egress_queued(const Site* site) const {
     // Unflushed batch bytes count toward the egress budget: shedding must
     // trigger per-frame even while the bytes are still in the send buffer.
@@ -587,7 +597,10 @@ class RouteServer {
   /// Cross-shard wiring (all control-plane; the per-frame path only tests
   /// WireEnd::remote).
   RemoteDeliverHandler remote_deliver_;
+  RemoteFlushHandler remote_flush_;
   RemoteDisconnectHandler remote_disconnect_;
+  /// A remote frame was delivered since the last flush_pending.
+  bool remote_batch_open_ = false;
   std::size_t remote_wire_ends_ = 0;
   /// Owner-thread pin for the data-plane entry points (debug builds; see
   /// bind_owner_thread). Default-bound to the constructing thread.

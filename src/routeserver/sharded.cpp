@@ -93,23 +93,23 @@ ShardedRouteServer::ShardedRouteServer(Options options)
     }
     shard->inbound.reserve(n);
     for (std::size_t p = 0; p < n; ++p) {
-      shard->inbound.push_back(std::make_unique<util::SpscRing<CrossShardFrame>>(
-          options_.wire_ring_capacity));
+      shard->inbound.push_back(
+          std::make_unique<InboundWire>(options_.wire_ring_capacity));
     }
+    shard->outbound.resize(n);
     shards_.push_back(std::move(shard));
   }
-  // Wire the cross-shard handlers. The deliver handler runs on shard s's
-  // thread (inside its forwarding path), so pushing into inbound[s] of the
-  // destination preserves the one-producer-one-consumer contract.
+  // Wire the cross-shard handlers. The deliver and flush handlers run on
+  // shard s's thread (inside its forwarding path), so pushing into
+  // inbound[s] of the destination preserves the one-producer-one-consumer
+  // contract.
   for (std::size_t s = 0; s < n; ++s) {
     shards_[s]->server->set_remote_wire_handlers(
         [this, s](wire::PortId dst, util::BytesView frame,
                   std::uint64_t trace_id) {
-          const std::size_t d = shard_of_port(dst);
-          shards_[d]->inbound[s]->push(
-              CrossShardFrame{dst, trace_id,
-                              util::Bytes(frame.begin(), frame.end())});
+          append_remote(s, dst, frame, trace_id);
         },
+        [this, s] { flush_remote(s); },
         [this](wire::PortId /*local*/, wire::PortId peer) {
           const std::size_t d = shard_of_port(peer);
           post(d, [this, d, peer] {
@@ -347,7 +347,8 @@ std::size_t ShardedRouteServer::wire_count() {
 std::uint64_t ShardedRouteServer::cross_shard_ring_drops() const {
   std::uint64_t drops = 0;
   for (const auto& shard : shards_) {
-    for (const auto& ring : shard->inbound) drops += ring->dropped();
+    // Relaxed: monitoring read of a counter only its shard's thread writes.
+    drops += shard->ring_frame_drops.load(std::memory_order_relaxed);
   }
   return drops;
 }
@@ -391,15 +392,69 @@ std::size_t ShardedRouteServer::drain_commands(std::size_t s) {
   return batch.size();
 }
 
+void ShardedRouteServer::append_remote(std::size_t s, wire::PortId dst,
+                                       util::BytesView frame,
+                                       std::uint64_t trace_id) {
+  const std::size_t d = shard_of_port(dst);
+  OpenBatch& batch = shards_[s]->outbound[d];
+  if (batch.frames == 0) batch.writer = util::ByteWriter(batch.size_hint);
+  wire::encode_message_into(batch.writer, wire::MessageType::kData,
+                            /*router_id=*/0, dst, frame,
+                            /*compressed=*/false, /*epoch=*/0, trace_id);
+  ++batch.frames;
+  // Same byte budget as a site's egress batch: a long burst reaches the
+  // consumer in pieces instead of one unbounded buffer.
+  if (batch.writer.size() >= RouteServer::kDefaultEgressBatchBytes) {
+    push_batch(s, d);
+  }
+}
+
+void ShardedRouteServer::push_batch(std::size_t s, std::size_t d) {
+  OpenBatch& batch = shards_[s]->outbound[d];
+  const std::uint32_t frames = batch.frames;
+  if (frames == 0) return;
+  batch.frames = 0;
+  batch.size_hint = batch.writer.size();
+  CrossShardBatch element{std::move(batch.writer).take(), frames};
+  InboundWire& wire = *shards_[d]->inbound[s];
+  std::atomic<std::uint64_t>& queued = wire.queued_frames;
+  // Relaxed: an admission budget, not a publication (the ring's sequence
+  // words publish the batch). The reservation is sequenced before the push,
+  // so the consumer's release of it always comes later in the counter's
+  // modification order and the count never underflows.
+  const auto held = queued.fetch_add(frames, std::memory_order_relaxed);
+  if (held + frames > wire.ring.capacity() ||
+      !wire.ring.push(std::move(element))) {
+    // Relaxed: returns this thread's own reservation, as above.
+    queued.fetch_sub(frames, std::memory_order_relaxed);
+    // Relaxed: monitoring counter; only this (producer) thread writes it.
+    shards_[s]->ring_frame_drops.fetch_add(frames, std::memory_order_relaxed);
+  }
+}
+
+void ShardedRouteServer::flush_remote(std::size_t s) {
+  for (std::size_t d = 0; d < shards_.size(); ++d) push_batch(s, d);
+}
+
 std::size_t ShardedRouteServer::drain_wires(std::size_t s) {
   Shard& shard = *shards_[s];
   std::size_t drained = 0;
-  CrossShardFrame frame;
-  for (auto& ring : shard.inbound) {
-    while (ring->pop(frame)) {
-      shard.server->deliver_remote(frame.dst_port, frame.bytes,
-                                   frame.trace_id);
-      ++drained;
+  CrossShardBatch batch;
+  for (auto& wire : shard.inbound) {
+    while (wire->ring.pop(batch)) {
+      // Relaxed: releases the producer's admission reservation (see
+      // push_batch); the batch itself came through the ring's acquire.
+      wire->queued_frames.fetch_sub(batch.frames, std::memory_order_relaxed);
+      // The views point into `batch`, which lives until the next pop.
+      const auto& frames = shard.inbound_decoder.feed_views(batch.bytes);
+      RNL_DCHECK(!shard.inbound_decoder.failed() &&
+                 shard.inbound_decoder.buffered() == 0 &&
+                 frames.size() == batch.frames);
+      for (const auto& frame : frames) {
+        shard.server->deliver_remote(frame.port_id, frame.payload,
+                                     frame.trace_id);
+      }
+      drained += frames.size();
     }
   }
   // One egress flush per drain burst, matching the decode loop's cadence.

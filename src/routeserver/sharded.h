@@ -14,10 +14,12 @@
 //   - Cross-shard wires: when a deployed design really does wire two ports
 //     owned by different shards, each side installs a remote WireEnd
 //     (RouteServer::connect_port_remote). Frames crossing over are copied
-//     into a lock-free SPSC ring (util::SpscRing) toward the owning shard
-//     — one ring per ordered shard pair, so single-producer/single-consumer
-//     holds by construction. A full ring drops the frame (counted), like a
-//     congested physical wire.
+//     into one open batch per destination shard, in tunnel framing, and
+//     each batch goes as one element through a lock-free SPSC ring
+//     (util::SpscRing) toward the owning shard at the producer's end of
+//     burst — one ring per ordered shard pair, so single-producer/single-
+//     consumer holds by construction. A full ring drops the batch and
+//     counts its frames, like a congested physical wire.
 //   - Command queues: rare control-plane work (place a joining site, clear
 //     the far end of a torn-down wire, snapshot stats/metrics) is posted to
 //     the owning shard's mutex-guarded queue and runs on its thread between
@@ -51,13 +53,15 @@
 
 namespace rnl::routeserver {
 
-/// One frame crossing shards: the destination port (owned by the consumer
-/// shard), the trace id (0 untraced), and an owning copy of the bytes (the
-/// producer's view dies with its decode burst).
-struct CrossShardFrame {
-  wire::PortId dst_port = 0;
-  std::uint64_t trace_id = 0;
+/// One burst's frames from one shard to another, the element of a
+/// cross-shard wire ring. `bytes` holds `frames` kData tunnel messages
+/// (wire::encode_message_into), each addressed by port id to a port the
+/// consumer shard owns and carrying its trace id: a shard link carries the
+/// same bytes a site link does. An owning copy, because the producer's
+/// views die with its decode burst.
+struct CrossShardBatch {
   util::Bytes bytes;
+  std::uint32_t frames = 0;
 };
 
 class ShardedRouteServer {
@@ -69,7 +73,10 @@ class ShardedRouteServer {
     /// Base seed for internally-owned shard schedulers (shard s gets
     /// derive_seed(seed, "shard<s>")).
     std::uint64_t seed = 1;
-    /// Slots per cross-shard wire ring (rounded up to a power of two).
+    /// Slots per cross-shard wire ring (rounded up to a power of two). A
+    /// slot holds one batch: the frames one burst sent toward that shard.
+    /// The wire also admits at most this many frames in flight, so it
+    /// congests at the depth it did when each slot held one frame.
     std::size_t wire_ring_capacity = kDefaultWireRingCapacity;
     /// Virtual time each pump iteration advances a shard's scheduler.
     util::Duration pump_slice{util::Duration::microseconds(100)};
@@ -157,7 +164,14 @@ class ShardedRouteServer {
   /// (MetricsRegistry::merge_snapshots).
   [[nodiscard]] util::Json metrics_json();
   [[nodiscard]] std::size_t wire_count();
+  /// Frames dropped on full cross-shard rings (every frame of a dropped
+  /// batch counts).
   [[nodiscard]] std::uint64_t cross_shard_ring_drops() const;
+  /// The ring carrying batches from shard `from` to shard `to`.
+  [[nodiscard]] const util::SpscRing<CrossShardBatch>& wire_ring(
+      std::size_t to, std::size_t from) const {
+    return shards_[to]->inbound[from]->ring;
+  }
 
   // -- Threading --
 
@@ -190,14 +204,40 @@ class ShardedRouteServer {
   [[nodiscard]] double shard_cpu_seconds(std::size_t s) const;
 
  private:
+  /// One cross-shard wire, shared by its producer and consumer shards.
+  struct InboundWire {
+    explicit InboundWire(std::size_t capacity) : ring(capacity) {}
+    /// Synchronized by its own per-slot sequence words (util/spsc.h).
+    util::SpscRing<CrossShardBatch> ring;
+    /// Frames in batches pushed and not yet popped: the producer reserves
+    /// before pushing and admits a batch only while this stays within the
+    /// ring's capacity; the consumer releases after popping.
+    std::atomic<std::uint64_t> queued_frames{0};
+  };
+
+  struct OpenBatch {
+    util::ByteWriter writer;
+    std::uint32_t frames = 0;
+    /// Size of the last pushed batch: the next one reserves it up front.
+    std::size_t size_hint = 0;
+  };
+
   struct Shard {
     std::unique_ptr<simnet::Scheduler> owned_scheduler;
     simnet::Scheduler* scheduler = nullptr;
     std::unique_ptr<util::MetricsRegistry> metrics;
     std::unique_ptr<RouteServer> server;
-    /// inbound[p]: frames from producer shard p (SPSC: p's thread pushes,
+    /// inbound[p]: the wire from producer shard p (SPSC: p's thread pushes,
     /// this shard's thread pops).
-    std::vector<std::unique_ptr<util::SpscRing<CrossShardFrame>>> inbound;
+    std::vector<std::unique_ptr<InboundWire>> inbound;
+    /// outbound[d]: the open batch toward shard d (this shard's thread
+    /// only), pushed at the end of each burst or at the byte cap.
+    std::vector<OpenBatch> outbound;
+    /// Decodes popped inbound batches (this shard's thread only).
+    wire::MessageDecoder inbound_decoder;
+    /// Frames in batches this shard could not push (full ring). Written by
+    /// this shard's thread only.
+    std::atomic<std::uint64_t> ring_frame_drops{0};
     std::mutex command_mutex;
     std::deque<std::function<void()>> commands;
     std::function<bool()> pump;
@@ -219,6 +259,11 @@ class ShardedRouteServer {
   bool pump_shard(std::size_t s);
   std::size_t drain_commands(std::size_t s);
   std::size_t drain_wires(std::size_t s);
+  /// Producer side of the cross-shard wires, on shard `s`'s thread.
+  void append_remote(std::size_t s, wire::PortId dst, util::BytesView frame,
+                     std::uint64_t trace_id);
+  void push_batch(std::size_t s, std::size_t d);
+  void flush_remote(std::size_t s);
   void on_dispatch_data(PendingSite* pending, util::BytesView chunk);
   void place(PendingSite* pending);
 

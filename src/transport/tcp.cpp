@@ -183,6 +183,10 @@ void TcpTransport::on_readable() {
       } else {
         read_spill_.insert(read_spill_.end(), view.begin(), view.end());
       }
+      // A short read drained the socket: return rather than pay one more
+      // recv for its EAGAIN. Level-triggered poll reports anything that
+      // arrived since (or a FIN) at the next run_once.
+      if (static_cast<std::size_t>(n) < sizeof buffer) return;
       continue;
     }
     if (n == 0) {  // orderly shutdown by peer

@@ -1,8 +1,9 @@
 #pragma once
 
 // Lock-free single-producer/single-consumer ring for the rare cross-shard
-// wire (DESIGN.md §12). One shard pushes frames bound for a port another
-// shard owns; the owning shard drains them at the top of its loop. The
+// wire (DESIGN.md §12). One shard pushes batches of frames bound for ports
+// another shard owns — one element per burst — and the owning shard drains
+// them at the top of its loop. The
 // sharded route server keeps an N×N matrix of these rings, so every ring
 // has exactly one producer thread and one consumer thread by construction.
 //

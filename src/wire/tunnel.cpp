@@ -1,5 +1,7 @@
 #include "wire/tunnel.h"
 
+#include <algorithm>
+
 namespace rnl::wire {
 
 namespace {
@@ -39,104 +41,136 @@ void encode_message_into(util::ByteWriter& w, MessageType type,
   w.raw(payload);
 }
 
+namespace {
+
+struct Header {
+  std::uint8_t type = 0;
+  std::uint16_t flags = 0;
+  std::uint32_t router_id = 0;
+  std::uint32_t port_id = 0;
+  std::uint32_t length = 0;
+};
+
+/// Parses and validates the header at the front of `bytes` (at least
+/// kHeaderSize long). Returns the framing error, or nullptr.
+const char* read_header(util::BytesView bytes, Header& header) {
+  util::ByteReader r(bytes);
+  const std::uint32_t magic = r.u32();
+  const std::uint8_t version = r.u8();
+  header.type = r.u8();
+  header.flags = r.u16();
+  header.router_id = r.u32();
+  header.port_id = r.u32();
+  header.length = r.u32();
+  if (magic != kMagic) return "tunnel: bad magic (stream desynchronized)";
+  if (version != kVersion) return "tunnel: unsupported protocol version";
+  if (header.type < 1 || header.type > 7) {
+    return "tunnel: unknown message type";
+  }
+  // Reserved flag bits must be zero. A peer setting them is either newer
+  // than us (we would misparse its payload — e.g. miss a trace-id prefix)
+  // or corrupt; both poison the stream like any other framing error.
+  if ((header.flags & 0xFFu & ~kFlagKnownMask) != 0) {
+    return "tunnel: reserved flag bits set";
+  }
+  // Unrecorded names a raw data frame; on anything else it is a lie about
+  // ring state the receiver cannot act on.
+  if ((header.flags & kFlagUnrecorded) != 0) {
+    if ((header.flags & kFlagCompressed) != 0) {
+      return "tunnel: compressed frame flagged unrecorded";
+    }
+    if (header.type != static_cast<std::uint8_t>(MessageType::kData)) {
+      return "tunnel: unrecorded flag on a non-data frame";
+    }
+  }
+  if (header.length > MessageDecoder::kMaxPayload) {
+    return "tunnel: payload length exceeds maximum";
+  }
+  if ((header.flags & kFlagTraced) != 0 && header.length < kTraceIdSize) {
+    return "tunnel: traced frame shorter than its trace id";
+  }
+  return nullptr;
+}
+
+/// The view of a complete message whose wire payload (trace-id prefix
+/// included) is `body`.
+MessageDecoder::DecodedView view_of(const Header& header,
+                                    util::BytesView body) {
+  MessageDecoder::DecodedView view;
+  view.type = static_cast<MessageType>(header.type);
+  view.router_id = header.router_id;
+  view.port_id = header.port_id;
+  if ((header.flags & kFlagTraced) != 0) {
+    view.trace_id = util::ByteReader(body).u64();
+    view.payload = body.subspan(kTraceIdSize);
+  } else {
+    view.payload = body;
+  }
+  view.compressed = (header.flags & kFlagCompressed) != 0;
+  view.unrecorded = (header.flags & kFlagUnrecorded) != 0;
+  view.epoch = static_cast<std::uint8_t>(header.flags >> kEpochShift);
+  return view;
+}
+
+}  // namespace
+
 const std::vector<MessageDecoder::DecodedView>& MessageDecoder::feed_views(
     util::BytesView chunk) {
   views_.clear();
+  // The message the previous feed completed is dead by contract.
+  completed_.clear();
   if (failed_) return views_;
 
-  // Lazy compaction: views handed out by the previous feed are dead by
-  // contract, so the consumed prefix can be reclaimed — but only bother
-  // when it is worth a memmove (fully drained, or past the watermark).
-  if (consumed_ > 0) {
-    if (consumed_ == buffer_.size()) {
-      buffer_.clear();  // keeps capacity
-      consumed_ = 0;
-    } else if (consumed_ >= kCompactWatermark) {
-      buffer_.erase(buffer_.begin(),
-                    buffer_.begin() + static_cast<std::ptrdiff_t>(consumed_));
-      consumed_ = 0;
-      ++compactions_;
-    }
-  }
-  buffer_.insert(buffer_.end(), chunk.begin(), chunk.end());
-
-  // Parse only after all appending: payload views are subspans of buffer_,
-  // which must not reallocate while they are live.
-  std::size_t offset = consumed_;
-  // On framing errors, messages parsed earlier in this chunk are still
-  // consumed — keep consumed_ at the failure offset so buffered() and the
-  // compaction state stay consistent.
-  auto fail = [&](const char* message) -> const std::vector<DecodedView>& {
+  std::size_t offset = 0;  // bytes of `chunk` consumed
+  // A framing error keeps the bytes from the offending message on as the
+  // unparsed remainder (buffered()); messages parsed before it stand.
+  auto poison = [&](const char* error) -> const std::vector<DecodedView>& {
+    partial_.insert(partial_.end(), chunk.begin() + offset, chunk.end());
     failed_ = true;
-    error_ = message;
-    consumed_ = offset;
+    error_ = error;
     return views_;
   };
-  while (buffer_.size() - offset >= kHeaderSize) {
-    util::ByteReader r(util::BytesView(buffer_).subspan(offset));
-    std::uint32_t magic = r.u32();
-    std::uint8_t version = r.u8();
-    std::uint8_t type = r.u8();
-    std::uint16_t flags = r.u16();
-    std::uint32_t router_id = r.u32();
-    std::uint32_t port_id = r.u32();
-    std::uint32_t length = r.u32();
-    if (magic != kMagic) {
-      return fail("tunnel: bad magic (stream desynchronized)");
+  Header header;
+  if (!partial_.empty()) {
+    // Complete the pending message from the head of the chunk, copying
+    // only the bytes it lacks.
+    auto top_up = [&](std::size_t want) {
+      const std::size_t n =
+          std::min(want - partial_.size(), chunk.size() - offset);
+      partial_.insert(partial_.end(), chunk.begin() + offset,
+                      chunk.begin() + offset + n);
+      offset += n;
+      return partial_.size() == want;
+    };
+    if (partial_.size() < kHeaderSize && !top_up(kHeaderSize)) return views_;
+    if (const char* error = read_header(partial_, header)) {
+      return poison(error);
     }
-    if (version != kVersion) {
-      return fail("tunnel: unsupported protocol version");
-    }
-    if (type < 1 || type > 7) {
-      return fail("tunnel: unknown message type");
-    }
-    // Reserved flag bits must be zero. A peer setting them is either newer
-    // than us (we would misparse its payload — e.g. miss a trace-id prefix)
-    // or corrupt; both poison the stream like any other framing error.
-    if ((flags & 0xFFu & ~kFlagKnownMask) != 0) {
-      return fail("tunnel: reserved flag bits set");
-    }
-    // Unrecorded names a raw data frame; on anything else it is a lie about
-    // ring state the receiver cannot act on.
-    const bool unrecorded = (flags & kFlagUnrecorded) != 0;
-    if (unrecorded && (flags & kFlagCompressed) != 0) {
-      return fail("tunnel: compressed frame flagged unrecorded");
-    }
-    if (unrecorded && type != static_cast<std::uint8_t>(MessageType::kData)) {
-      return fail("tunnel: unrecorded flag on a non-data frame");
-    }
-    if (length > kMaxPayload) {
-      return fail("tunnel: payload length exceeds maximum");
-    }
-    const bool traced = (flags & kFlagTraced) != 0;
-    if (traced && length < kTraceIdSize) {
-      return fail("tunnel: traced frame shorter than its trace id");
-    }
-    if (buffer_.size() - offset < kHeaderSize + length) break;  // need more
-
-    DecodedView view;
-    view.type = static_cast<MessageType>(type);
-    view.router_id = router_id;
-    view.port_id = port_id;
-    if (traced) {
-      view.trace_id = r.u64();
-      view.payload = r.raw(length - kTraceIdSize);
-    } else {
-      view.payload = r.raw(length);
-    }
-    view.compressed = (flags & kFlagCompressed) != 0;
-    view.unrecorded = unrecorded;
-    view.epoch = static_cast<std::uint8_t>(flags >> kEpochShift);
-    views_.push_back(view);
-    offset += kHeaderSize + length;
+    if (!top_up(kHeaderSize + header.length)) return views_;
+    views_.push_back(
+        view_of(header, util::BytesView(partial_).subspan(kHeaderSize)));
+    // That view points into partial_, so the new trailing partial must go
+    // to the other (empty) buffer: swap roles.
+    partial_.swap(completed_);
   }
-  consumed_ = offset;
+  // Everything else is parsed in place: views into the caller's chunk.
+  while (chunk.size() - offset >= kHeaderSize) {
+    if (const char* error = read_header(chunk.subspan(offset), header)) {
+      return poison(error);
+    }
+    const std::size_t size = kHeaderSize + header.length;
+    if (chunk.size() - offset < size) break;  // need more
+    views_.push_back(
+        view_of(header, chunk.subspan(offset + kHeaderSize, header.length)));
+    offset += size;
+  }
+  partial_.assign(chunk.begin() + offset, chunk.end());
   return views_;
 }
 
 void MessageDecoder::reset() {
-  buffer_.clear();
-  consumed_ = 0;
+  partial_.clear();
+  completed_.clear();
   views_.clear();
   failed_ = false;
   error_.clear();

@@ -101,12 +101,22 @@ void encode_message_into(util::ByteWriter& w, MessageType type,
 /// Incremental decoder for a byte stream of messages. Feed arbitrary chunks;
 /// complete messages come out. Malformed input poisons the stream (a framing
 /// error on TCP is unrecoverable) — check error().
+///
+/// Decoding is in place: complete messages are parsed straight out of the
+/// caller's chunk, and only a trailing partial message is copied (into the
+/// decoder's own buffer, which therefore never holds more than one message).
+/// The next chunk first completes that message, copying only the bytes it
+/// lacks, then is parsed in place as well.
+///
+/// View lifetime: a DecodedView (and the vector holding it) is valid until
+/// the next feed()/feed_views()/reset() call or until the caller's chunk
+/// dies, whichever comes first. A payload may point into either.
 class MessageDecoder {
  public:
-  /// A decoded message whose payload is a view into the decoder's internal
-  /// buffer — valid only until the next feed()/feed_views() call. This is
-  /// the zero-copy fast path: steady-state forwarding never materializes a
-  /// util::Bytes per message. Compressed payloads are surfaced
+  /// A decoded message whose payload is a view into the fed chunk or the
+  /// decoder's partial-message buffer (see the lifetime rule above). This
+  /// is the zero-copy fast path: steady-state forwarding never materializes
+  /// a util::Bytes per message. Compressed payloads are surfaced
   /// still-compressed with `compressed` set; TunnelCodec handles inflation.
   struct DecodedView {
     MessageType type = MessageType::kKeepalive;
@@ -123,8 +133,8 @@ class MessageDecoder {
     std::uint64_t trace_id = 0;
   };
 
-  /// Owning variant for callers that need payloads to outlive the decoder
-  /// buffer (tests, control-plane code).
+  /// Owning variant for callers that need payloads to outlive the feed
+  /// (tests, control-plane code).
   struct Decoded {
     TunnelMessage message;
     bool compressed = false;
@@ -132,11 +142,8 @@ class MessageDecoder {
     std::uint64_t trace_id = 0;
   };
 
-  /// Appends stream bytes; returns views of the messages completed by this
-  /// chunk. The returned vector and every payload view are invalidated by
-  /// the next feed()/feed_views() call. Consumed bytes are reclaimed lazily:
-  /// the buffer compacts only when the dead prefix crosses a watermark, so a
-  /// steady stream of small frames costs no per-feed memmove.
+  /// Decodes the messages completed by `chunk` and returns views of them,
+  /// valid as the class comment says.
   const std::vector<DecodedView>& feed_views(util::BytesView chunk);
 
   /// Copying convenience wrapper over feed_views (one payload allocation per
@@ -150,13 +157,9 @@ class MessageDecoder {
 
   [[nodiscard]] bool failed() const { return failed_; }
   [[nodiscard]] const std::string& error() const { return error_; }
-  /// Bytes buffered waiting for a complete frame.
-  [[nodiscard]] std::size_t buffered() const {
-    return buffer_.size() - consumed_;
-  }
-  /// Times the buffer reclaimed its consumed prefix (observability for the
-  /// lazy-compaction scheme; should grow ~ bytes/watermark, not ~ feeds).
-  [[nodiscard]] std::uint64_t compactions() const { return compactions_; }
+  /// Bytes buffered waiting for a complete frame (after a framing error:
+  /// the bytes from the offending message on, which are never parsed).
+  [[nodiscard]] std::size_t buffered() const { return partial_.size(); }
 
   /// Maximum accepted payload. Data frames are bounded by jumbo-frame size,
   /// but JOIN payloads scale with the site's inventory (a PC can front many
@@ -164,16 +167,15 @@ class MessageDecoder {
   /// violation, not a big message.
   static constexpr std::uint32_t kMaxPayload = 8 * 1024 * 1024;
 
-  /// Dead-prefix size that triggers compaction at the next feed. Large
-  /// enough that a jumbo frame's worth of consumed bytes rides along for
-  /// free; small enough that the buffer stays cache-resident.
-  static constexpr std::size_t kCompactWatermark = 64 * 1024;
-
  private:
-  util::Bytes buffer_;
-  std::size_t consumed_ = 0;  // dead prefix: bytes already surfaced as views
+  /// The trailing partial message of the last chunk (or, once failed, the
+  /// unparsed remainder).
+  util::Bytes partial_;
+  /// The message the current feed completed out of partial_: its views stay
+  /// valid while the new trailing partial goes into the other buffer, and
+  /// the two swap roles. Cleared at the next feed.
+  util::Bytes completed_;
   std::vector<DecodedView> views_;  // reused across feeds
-  std::uint64_t compactions_ = 0;
   bool failed_ = false;
   std::string error_;
 };

@@ -22,6 +22,7 @@
 #include "simnet/network.h"
 #include "transport/sim_stream.h"
 #include "util/spsc.h"
+#include "wire/tunnel.h"
 
 namespace rnl {
 namespace {
@@ -371,6 +372,145 @@ TEST_F(ShardedStack, FullWireRingDropsFramesLikeACongestedLink) {
     tiny.pump_all();
   }
   EXPECT_LT(h1.ping_replies().size(), 8u);
+}
+
+/// Wire-level site for the cross-shard batch tests: raw transport, real
+/// JOIN, full control over which frames share one chunk (one burst), and
+/// every data frame it receives recorded in arrival order.
+struct RawSite {
+  struct Received {
+    wire::PortId port = 0;
+    std::uint64_t trace_id = 0;
+    util::Bytes frame;
+  };
+  std::unique_ptr<transport::Transport> transport;
+  wire::MessageDecoder decoder;
+  wire::RouterId router = 0;
+  wire::PortId port = 0;
+  std::vector<Received> received;
+
+  void join(ShardedRouteServer& server, std::size_t shard,
+            simnet::Network& net, const std::string& name) {
+    auto [client, server_end] =
+        transport::make_sim_stream_pair(net.scheduler());
+    server.accept(shard, std::move(server_end));
+    transport = std::move(client);
+    transport->set_receive_handler([this](util::BytesView chunk) {
+      for (const auto& view : decoder.feed_views(chunk)) {
+        if (view.type == wire::MessageType::kData) {
+          received.push_back({view.port_id, view.trace_id,
+                              util::Bytes(view.payload.begin(),
+                                          view.payload.end())});
+        } else if (view.type == wire::MessageType::kJoinAck) {
+          auto json = util::Json::parse(
+              std::string(view.payload.begin(), view.payload.end()));
+          if (!json.ok()) continue;
+          auto ack = wire::JoinAck::from_json(*json);
+          if (!ack.ok() || ack->routers.empty()) continue;
+          router = ack->routers[0].router_id;
+          port = ack->routers[0].port_ids.at(0);
+        }
+      }
+    });
+    wire::JoinRequest request;
+    request.site_name = name;
+    wire::RouterDeclaration declared;
+    declared.name = name + "/r1";
+    declared.ports.emplace_back();
+    declared.ports.back().name = "p0";
+    request.routers.push_back(declared);
+    const std::string json = request.to_json().dump();
+    util::ByteWriter w;
+    wire::encode_message_into(
+        w, wire::MessageType::kJoin, 0, 0,
+        util::BytesView(reinterpret_cast<const std::uint8_t*>(json.data()),
+                        json.size()));
+    transport->send(w.view());
+    net.run_for(util::Duration::milliseconds(10));
+    server.pump_all();
+    net.run_for(util::Duration::milliseconds(10));
+  }
+
+  /// Frame `seq` of a burst: 300 bytes whose content encodes `seq`.
+  static util::Bytes frame(std::uint32_t seq) {
+    util::Bytes bytes(300);
+    for (std::size_t i = 0; i < bytes.size(); ++i) {
+      bytes[i] = static_cast<std::uint8_t>(seq * 7 + i);
+    }
+    return bytes;
+  }
+
+  /// Sends frames [0, count) in one chunk — one burst at the route server.
+  /// Frame i carries trace id 1000 + i.
+  void send_burst(std::uint32_t count) {
+    util::ByteWriter w;
+    for (std::uint32_t i = 0; i < count; ++i) {
+      wire::encode_message_into(w, wire::MessageType::kData, router, port,
+                                frame(i), /*compressed=*/false, /*epoch=*/0,
+                                /*trace_id=*/1000 + i);
+    }
+    transport->send(w.view());
+  }
+};
+
+TEST_F(ShardedStack, OneBurstCrossesShardsAsOneRingElement) {
+  RawSite a;
+  RawSite b;
+  a.join(server, 0, net, "raw-a");
+  b.join(server, 1, net, "raw-b");
+  ASSERT_NE(a.port, 0u);
+  ASSERT_NE(b.port, 0u);
+  ASSERT_EQ(server.shard_of_port(a.port), 0u);
+  ASSERT_EQ(server.shard_of_port(b.port), 1u);
+  ASSERT_TRUE(server.connect_ports(a.port, b.port).ok());
+
+  constexpr std::uint32_t kFrames = 12;
+  const auto before = server.stats();
+  const std::uint64_t pushed_before = server.wire_ring(1, 0).pushed();
+  a.send_burst(kFrames);
+  net.run_for(util::Duration::milliseconds(1));  // shard 0 forwards
+  // The whole burst took one element of the 0 -> 1 ring.
+  EXPECT_EQ(server.wire_ring(1, 0).pushed() - pushed_before, 1u);
+  server.pump_all();  // shard 1 drains it
+  net.run_for(util::Duration::milliseconds(1));
+
+  ASSERT_EQ(b.received.size(), kFrames);
+  for (std::uint32_t i = 0; i < kFrames; ++i) {
+    EXPECT_EQ(b.received[i].port, b.port);
+    EXPECT_EQ(b.received[i].trace_id, 1000u + i) << "frame " << i;
+    EXPECT_EQ(b.received[i].frame, RawSite::frame(i)) << "frame " << i;
+  }
+  const auto after = server.stats();
+  EXPECT_EQ(after.cross_shard_frames_out - before.cross_shard_frames_out,
+            kFrames);
+  EXPECT_EQ(after.cross_shard_frames_in - before.cross_shard_frames_in,
+            kFrames);
+  EXPECT_EQ(server.cross_shard_ring_drops(), 0u);
+}
+
+TEST_F(ShardedStack, ImpairedCrossShardWireDeliversEveryFrameInOrder) {
+  RawSite a;
+  RawSite b;
+  a.join(server, 0, net, "raw-a");
+  b.join(server, 1, net, "raw-b");
+  wire::NetemProfile wan;
+  wan.delay = util::Duration::milliseconds(20);
+  ASSERT_TRUE(server.connect_ports(a.port, b.port, wan).ok());
+
+  // Every delayed frame leaves the netem sink on its own; nothing else
+  // runs on shard 0 afterwards, so a frame the sink left in an open batch
+  // would never reach the ring.
+  constexpr std::uint32_t kFrames = 16;
+  a.send_burst(kFrames);
+  net.run_for(wan.delay + util::Duration::milliseconds(1));
+  server.pump_all();
+  net.run_for(util::Duration::milliseconds(1));
+
+  ASSERT_EQ(b.received.size(), kFrames);
+  for (std::uint32_t i = 0; i < kFrames; ++i) {
+    EXPECT_EQ(b.received[i].frame, RawSite::frame(i)) << "frame " << i;
+  }
+  EXPECT_EQ(server.cross_shard_ring_drops(), 0u);
 }
 
 TEST_F(ShardedStack, DispatchSniffsTheJoinAndPlacesByHash) {

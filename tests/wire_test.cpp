@@ -302,49 +302,80 @@ TEST(TunnelCodec, MultiChunkFeedMatchesSingleChunkFeed) {
   EXPECT_EQ(chunked.buffered(), 0u);
 }
 
-TEST(TunnelCodec, CompactsOnlyPastWatermark) {
-  // A steady stream of small frames must not memmove per feed: the dead
-  // prefix accumulates until kCompactWatermark, then one compaction claims
-  // it back.
-  TunnelMessage msg;
-  msg.type = MessageType::kData;
-  msg.router_id = 1;
-  msg.port_id = 1;
-  msg.payload.assign(100, 0x3C);
-  util::Bytes wire = encode_message(msg);
-  const std::size_t half = wire.size() / 2;
+namespace {
+// Four data frames, the middle two traced, as one wire stream.
+util::Bytes traced_stream() {
+  util::ByteWriter w;
+  for (std::uint32_t i = 0; i < 4; ++i) {
+    util::Bytes payload(40 + i * 25);
+    for (std::size_t b = 0; b < payload.size(); ++b) {
+      payload[b] = static_cast<std::uint8_t>(b * 3 + i);
+    }
+    encode_message_into(w, MessageType::kData, i + 1, i + 10, payload,
+                        /*compressed=*/false, /*epoch=*/2,
+                        /*trace_id=*/(i == 1 || i == 2) ? 0xABC0 + i : 0);
+  }
+  return w.bytes();
+}
 
-  // Keep half a frame permanently buffered so the decoder can never take the
-  // full-drain shortcut; every chunk then completes exactly one frame and
-  // grows the dead prefix, which is what the watermark logic manages.
-  util::Bytes chunk(wire.begin() + static_cast<std::ptrdiff_t>(half),
-                    wire.end());
-  chunk.insert(chunk.end(), wire.begin(),
-               wire.begin() + static_cast<std::ptrdiff_t>(half));
+struct Copied {
+  PortId port_id = 0;
+  std::uint64_t trace_id = 0;
+  util::Bytes payload;
+  bool operator==(const Copied&) const = default;
+};
 
+// Copies the views out at once: they are only valid until the next feed.
+void copy_views(const std::vector<MessageDecoder::DecodedView>& views,
+                std::vector<Copied>& out) {
+  for (const auto& view : views) {
+    out.push_back({view.port_id, view.trace_id,
+                   util::Bytes(view.payload.begin(), view.payload.end())});
+  }
+}
+}  // namespace
+
+TEST(TunnelCodec, WholeMessagesDecodeInPlace) {
+  // A chunk of complete messages is parsed where it lies: nothing stays
+  // buffered, and every payload view points into the caller's chunk.
+  const util::Bytes chunk = traced_stream();
   MessageDecoder decoder;
-  ASSERT_TRUE(decoder.feed_views(util::BytesView(wire).subspan(0, half))
-                  .empty());
-  std::size_t consumed = 0;
-  while (consumed + wire.size() < MessageDecoder::kCompactWatermark) {
-    const auto& out = decoder.feed_views(chunk);
-    ASSERT_EQ(out.size(), 1u);
-    EXPECT_TRUE(std::equal(out[0].payload.begin(), out[0].payload.end(),
-                           msg.payload.begin(), msg.payload.end()));
-    consumed += wire.size();
+  const auto& views = decoder.feed_views(chunk);
+  ASSERT_EQ(views.size(), 4u);
+  EXPECT_EQ(decoder.buffered(), 0u);
+  for (const auto& view : views) {
+    EXPECT_GE(view.payload.data(), chunk.data());
+    EXPECT_LE(view.payload.data() + view.payload.size(),
+              chunk.data() + chunk.size());
   }
-  EXPECT_EQ(decoder.compactions(), 0u);
-  // A few more frames push the dead prefix over the watermark: exactly one
-  // compaction, and frames keep decoding correctly across it.
-  for (int i = 0; i < 3; ++i) {
-    const auto& out = decoder.feed_views(chunk);
-    ASSERT_EQ(out.size(), 1u);
-    EXPECT_TRUE(std::equal(out[0].payload.begin(), out[0].payload.end(),
-                           msg.payload.begin(), msg.payload.end()));
+  EXPECT_EQ(views[1].trace_id, 0xABC1u);
+  EXPECT_EQ(views[3].trace_id, 0u);
+}
+
+TEST(TunnelCodec, StraddlingMessageDecodesIdenticallyAtEverySplit) {
+  const util::Bytes stream = traced_stream();
+  std::vector<Copied> whole;
+  MessageDecoder single;
+  copy_views(single.feed_views(stream), whole);
+  ASSERT_EQ(whole.size(), 4u);
+
+  // The third chunk starts inside the last message, so the middle chunk
+  // both completes a buffered message and buffers a new partial one.
+  const std::size_t tail_cut = stream.size() - 30;
+  const std::size_t last_start = stream.size() - (20 + whole[3].payload.size());
+  const util::BytesView view(stream);
+  for (std::size_t cut = 1; cut < tail_cut; ++cut) {
+    MessageDecoder decoder;
+    std::vector<Copied> out;
+    copy_views(decoder.feed_views(view.subspan(0, cut)), out);
+    copy_views(decoder.feed_views(view.subspan(cut, tail_cut - cut)), out);
+    EXPECT_EQ(decoder.buffered(), tail_cut - last_start)
+        << "cut=" << cut;
+    copy_views(decoder.feed_views(view.subspan(tail_cut)), out);
+    EXPECT_EQ(out, whole) << "cut=" << cut;
+    EXPECT_EQ(decoder.buffered(), 0u);
+    EXPECT_FALSE(decoder.failed());
   }
-  EXPECT_EQ(decoder.compactions(), 1u);
-  EXPECT_EQ(decoder.buffered(), half);
-  EXPECT_FALSE(decoder.failed());
 }
 
 TEST(JoinPayload, JsonRoundTrip) {
